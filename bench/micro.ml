@@ -176,23 +176,25 @@ let fluid_flows () =
   let sched = Scheduler.create () in
   let eng = Sim_fluid.Engine.make ~sched ~cap_bps:(Array.make 64 1e9) () in
   let completed = ref 0 in
+  let arrivals =
+    Scheduler.Event.pool sched ~fire:(fun i ->
+        ignore
+          (Sim_fluid.Engine.start eng
+             ~legs:
+               [|
+                 {
+                   Sim_fluid.Engine.path = [| i mod 32; 32 + (i * 7 mod 32) |];
+                   weight = 1.;
+                   rtt_s = 1e-4;
+                 };
+               |]
+             ~size:70_000
+             ~on_complete:(fun _ -> incr completed)
+             ()))
+  in
   for i = 0 to 9_999 do
-    let at = Stime.of_us (float_of_int i *. 100.) in
     ignore
-      (Scheduler.schedule_at sched at (fun () ->
-           ignore
-             (Sim_fluid.Engine.start eng
-                ~legs:
-                  [|
-                    {
-                      Sim_fluid.Engine.path = [| i mod 32; 32 + (i * 7 mod 32) |];
-                      weight = 1.;
-                      rtt_s = 1e-4;
-                    };
-                  |]
-                ~size:70_000
-                ~on_complete:(fun _ -> incr completed)
-                ())))
+      (Scheduler.Event.schedule_at arrivals (Stime.of_us (float_of_int i *. 100.)) i)
   done;
   Scheduler.run sched;
   assert (!completed = 10_000)
@@ -208,28 +210,30 @@ let ledger_fluid_flows () =
       Stime.to_ns (Scheduler.now sched));
   let eng = Sim_fluid.Engine.make ~sched ~cap_bps:(Array.make 64 1e9) () in
   let completed = ref 0 in
+  let arrivals =
+    Scheduler.Event.pool sched ~fire:(fun i ->
+        let c =
+          Sim_fluid.Engine.start eng
+            ~legs:
+              [|
+                {
+                  Sim_fluid.Engine.path = [| i mod 32; 32 + (i * 7 mod 32) |];
+                  weight = 1.;
+                  rtt_s = 1e-4;
+                };
+              |]
+            ~size:70_000
+            ~on_complete:(fun _ -> incr completed)
+            ()
+        in
+        Sim_obs.Flow_ledger.on_start ledger ~conn:(Sim_fluid.Engine.conn_id c)
+          ~src:(i mod 32)
+          ~dst:(32 + (i * 7 mod 32))
+          ~size:70_000 ~long:false)
+  in
   for i = 0 to 9_999 do
-    let at = Stime.of_us (float_of_int i *. 100.) in
     ignore
-      (Scheduler.schedule_at sched at (fun () ->
-           let c =
-             Sim_fluid.Engine.start eng
-               ~legs:
-                 [|
-                   {
-                     Sim_fluid.Engine.path = [| i mod 32; 32 + (i * 7 mod 32) |];
-                     weight = 1.;
-                     rtt_s = 1e-4;
-                   };
-                 |]
-               ~size:70_000
-               ~on_complete:(fun _ -> incr completed)
-               ()
-           in
-           Sim_obs.Flow_ledger.on_start ledger
-             ~conn:(Sim_fluid.Engine.conn_id c) ~src:(i mod 32)
-             ~dst:(32 + (i * 7 mod 32))
-             ~size:70_000 ~long:false))
+      (Scheduler.Event.schedule_at arrivals (Stime.of_us (float_of_int i *. 100.)) i)
   done;
   Scheduler.run sched;
   assert (!completed = 10_000);

@@ -53,6 +53,8 @@ let describe_status = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
+let recommended_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+
 let run ~jobs ~worker_argv ~n ~deliver =
   if jobs < 1 then invalid_arg "Proc_pool.run: jobs must be >= 1";
   if n > 0 then begin

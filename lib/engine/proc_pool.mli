@@ -1,13 +1,12 @@
 (** Fixed pool of worker {e processes}.
 
-    Domains share one major heap, and allocation-heavy simulations
-    contend on it badly enough that adding domains makes the suite
-    slower (ROADMAP item 1). Worker processes each get a private heap,
-    so the same fan-out scales. The pool re-executes the current
-    binary with caller-supplied argv (conventionally the original
-    command line plus a hidden [--worker] flag); each worker rebuilds
-    the same deterministic job queue from that argv and then serves
-    job {e indices} sent by the parent.
+    Simulations are single-threaded and self-contained (all their
+    state hangs off one {!Scheduler.t}), so independent runs fan out
+    across processes, each with a private heap. The pool re-executes
+    the current binary with caller-supplied argv (conventionally the
+    original command line plus a hidden [--worker] flag); each worker
+    rebuilds the same deterministic job queue from that argv and then
+    serves job {e indices} sent by the parent.
 
     Wire protocol, strictly request/reply per worker:
     - parent -> worker (stdin): one decimal job index per ['\n']-line;
@@ -22,6 +21,10 @@
     to surviving workers, or delivered as [Error] if none survive. The
     parent never hangs on a dead worker and always reaps every child
     it spawned. *)
+
+val recommended_jobs : unit -> int
+(** [max 1 (Domain.recommended_domain_count () - 1)]: one worker per
+    core, keeping one core for the coordinating process. *)
 
 val run :
   jobs:int ->

@@ -16,9 +16,7 @@ type erun = Run : ('a -> unit) * 'a -> erun
 (** Typed fire slot: a static fire function paired with the state it
     runs on, packed behind an existential so [entry] stays
     monomorphic. A re-armable timer or pooled event cell installs its
-    pair once and re-arms forever after without allocating; the
-    generic closure API wraps a [unit -> unit] as
-    [Run ((fun f -> f ()), f)]. *)
+    pair once and re-arms forever after without allocating. *)
 
 type entry = {
   mutable time : int;    (** absolute due time, ns — exact, not rounded *)
@@ -43,9 +41,6 @@ val st_idle : int
 val st_wheel : int
 val st_heap : int
 val st_fired : int
-
-val noop_run : erun
-(** Shared no-op used to drop a fire/state pair on cancel. *)
 
 val make_entry : ('a -> unit) -> 'a -> entry
 (** [make_entry fire state] is a fresh idle, self-linked entry whose

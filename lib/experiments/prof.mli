@@ -1,7 +1,7 @@
 (** Host-time self-profiling: wall-clock + [Gc] allocation spans
     around experiment points.
 
-    A {!span} is measured where the point ran — on a worker domain, or
+    A {!span} is measured where the point ran — in-process, or
     inside a process-pool worker (spans are plain data and marshal
     back with the point result) — and rendered by the coordinating
     process into one [prof-<experiment>] table per experiment with a

@@ -23,8 +23,8 @@
    ([switch_on_congestion] has no fluid analogue — congestion is
    never a discrete event here — and behaves as [Never]).
 
-   Everything hangs off [t]; per-run timers only (D001/D002/D008
-   clean by construction). *)
+   Everything hangs off [t]; per-run timers only (D001/D002 clean by
+   construction). *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler

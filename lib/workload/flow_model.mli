@@ -57,8 +57,6 @@ type topology_kind =
 type obs_cfg = {
   probe_interval : Time.t option;
   probe_conns : int list option;
-  trace_level : Sim_engine.Trace.level option;
-  trace_components : string list option;
   ledger : bool;  (** record per-flow lifecycles in the flow ledger *)
 }
 

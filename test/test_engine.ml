@@ -196,13 +196,19 @@ let prop_wheel_matches_heap =
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
+(* Every test arms through the scheduler's two handles: pooled
+   one-shot cells ([Event]) and re-armable timers ([Timer]). *)
+
 let test_scheduler_order_and_clock () =
   let s = Scheduler.create () in
   let log = ref [] in
-  let note tag () = log := (tag, Time.to_ms (Scheduler.now s)) :: !log in
-  ignore (Scheduler.schedule_after s (Time.of_ms 2.) (note "b"));
-  ignore (Scheduler.schedule_after s (Time.of_ms 1.) (note "a"));
-  ignore (Scheduler.schedule_after s (Time.of_ms 3.) (note "c"));
+  let p =
+    Scheduler.Event.pool s ~fire:(fun tag ->
+        log := (tag, Time.to_ms (Scheduler.now s)) :: !log)
+  in
+  ignore (Scheduler.Event.schedule_after p (Time.of_ms 2.) "b");
+  ignore (Scheduler.Event.schedule_after p (Time.of_ms 1.) "a");
+  ignore (Scheduler.Event.schedule_after p (Time.of_ms 3.) "c");
   Scheduler.run s;
   Alcotest.(check (list (pair string (float 1e-6))))
     "events fire in order at their times"
@@ -212,8 +218,9 @@ let test_scheduler_order_and_clock () =
 let test_scheduler_same_time_fifo () =
   let s = Scheduler.create () in
   let log = ref [] in
+  let p = Scheduler.Event.pool s ~fire:(fun i -> log := i :: !log) in
   for i = 0 to 4 do
-    ignore (Scheduler.schedule_after s (Time.of_ms 1.) (fun () -> log := i :: !log))
+    ignore (Scheduler.Event.schedule_after p (Time.of_ms 1.) i)
   done;
   Scheduler.run s;
   Alcotest.(check (list int)) "fifo" [ 0; 1; 2; 3; 4 ] (List.rev !log)
@@ -221,19 +228,25 @@ let test_scheduler_same_time_fifo () =
 let test_scheduler_cancel () =
   let s = Scheduler.create () in
   let fired = ref false in
-  let h = Scheduler.schedule_after s (Time.of_ms 1.) (fun () -> fired := true) in
-  Scheduler.cancel s h;
+  let p = Scheduler.Event.pool s ~fire:(fun () -> fired := true) in
+  let c = Scheduler.Event.schedule_after p (Time.of_ms 1.) () in
+  ignore (Scheduler.Event.cancel p c : unit option);
+  check_bool "not pending" false (Scheduler.Event.is_pending c);
   Scheduler.run s;
   check_bool "cancelled did not fire" false !fired;
-  check_bool "not pending" false (Scheduler.is_pending h)
+  check_int "nothing processed" 0 (Scheduler.events_processed s)
+
+(* Ten events at 1..10 ms, each bumping [count]. *)
+let ten_counted s count =
+  let p = Scheduler.Event.pool s ~fire:(fun () -> incr count) in
+  for i = 1 to 10 do
+    ignore (Scheduler.Event.schedule_after p (Time.of_ms (float_of_int i)) ())
+  done
 
 let test_scheduler_until () =
   let s = Scheduler.create () in
   let count = ref 0 in
-  for i = 1 to 10 do
-    ignore
-      (Scheduler.schedule_after s (Time.of_ms (float_of_int i)) (fun () -> incr count))
-  done;
+  ten_counted s count;
   Scheduler.run ~until:(Time.of_ms 5.) s;
   check_int "only events <= 5ms" 5 !count;
   Alcotest.(check (float 1e-6)) "clock at horizon" 5. (Time.to_ms (Scheduler.now s));
@@ -243,78 +256,100 @@ let test_scheduler_until () =
 let test_scheduler_nested_scheduling () =
   let s = Scheduler.create () in
   let log = ref [] in
-  ignore
-    (Scheduler.schedule_after s (Time.of_ms 1.) (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Scheduler.schedule_after s (Time.of_ms 1.) (fun () ->
-                log := "inner" :: !log))));
+  let inner = Scheduler.Event.pool s ~fire:(fun () -> log := "inner" :: !log) in
+  let outer =
+    Scheduler.Event.pool s ~fire:(fun () ->
+        log := "outer" :: !log;
+        ignore (Scheduler.Event.schedule_after inner (Time.of_ms 1.) ()))
+  in
+  ignore (Scheduler.Event.schedule_after outer (Time.of_ms 1.) ());
   Scheduler.run s;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   Alcotest.(check (float 1e-6)) "final clock" 2. (Time.to_ms (Scheduler.now s))
 
 let test_scheduler_past_rejected () =
   let s = Scheduler.create () in
-  ignore
-    (Scheduler.schedule_after s (Time.of_ms 5.) (fun () ->
-         Alcotest.check_raises "past"
-           (Invalid_argument "Scheduler.schedule_at: time is in the past")
-           (fun () -> ignore (Scheduler.schedule_at s (Time.of_ms 1.) ignore))));
-  Scheduler.run s
+  let late = Scheduler.Event.pool s ~fire:ignore in
+  let tm = Scheduler.Timer.create s ignore () in
+  let checked = ref false in
+  let p =
+    Scheduler.Event.pool s ~fire:(fun () ->
+        Alcotest.check_raises "past event"
+          (Invalid_argument "Scheduler.Event.schedule_at: time is in the past")
+          (fun () ->
+            ignore (Scheduler.Event.schedule_at late (Time.of_ms 1.) ()));
+        Alcotest.check_raises "past timer"
+          (Invalid_argument "Scheduler.Timer.schedule_at: time is in the past")
+          (fun () -> Scheduler.Timer.schedule_at tm (Time.of_ms 1.));
+        checked := true)
+  in
+  ignore (Scheduler.Event.schedule_after p (Time.of_ms 5.) ());
+  Scheduler.run s;
+  check_bool "checks ran" true !checked
 
 let test_scheduler_max_events () =
   let s = Scheduler.create () in
   let count = ref 0 in
-  for i = 1 to 10 do
-    ignore
-      (Scheduler.schedule_after s (Time.of_ms (float_of_int i)) (fun () -> incr count))
-  done;
+  ten_counted s count;
   Scheduler.run ~max_events:3 s;
   check_int "bounded" 3 !count
 
 let test_scheduler_counts () =
   let s = Scheduler.create () in
-  ignore (Scheduler.schedule_after s Time.zero ignore);
-  ignore (Scheduler.schedule_after s Time.zero ignore);
+  let p = Scheduler.Event.pool s ~fire:ignore in
+  ignore (Scheduler.Event.schedule_after p Time.zero ());
+  ignore (Scheduler.Event.schedule_after p Time.zero ());
   check_int "pending" 2 (Scheduler.pending_events s);
   Scheduler.run s;
   check_int "processed" 2 (Scheduler.events_processed s)
 
 (* Random schedule/cancel trace against a sorted-list model: the
    scheduler (wheel + heap + tombstones underneath) must fire exactly
-   the non-cancelled events in (time, insertion) order. Cancels happen
-   during the run, from an event scheduled earlier than the victim. *)
+   the non-cancelled events in (time, arm-order) order. Each arm goes
+   through an Event pool cell or its own Timer, as the trace says, so
+   the two handles must interleave by one shared seq. Cancels happen
+   during the run, from an event armed earlier than the victim. *)
 let prop_scheduler_matches_model =
   QCheck.Test.make ~name:"scheduler matches sorted-list model" ~count:200
-    QCheck.(list (pair (int_bound 5_000_000) (option (int_bound 4_999_999))))
+    QCheck.(
+      list (pair (int_bound 5_000_000) (pair bool (option (int_bound 4_999_999)))))
     (fun trace ->
       let s = Scheduler.create () in
       let fired = ref [] in
-      let handles =
+      let record i = fired := (Time.to_ns (Scheduler.now s), i) :: !fired in
+      let pool = Scheduler.Event.pool s ~fire:record in
+      let arms =
         List.mapi
-          (fun i (t_ns, cancel_at) ->
-          let h =
-            Scheduler.schedule_at s (Time.of_ns t_ns) (fun () ->
-                fired := (t_ns, i) :: !fired)
-          in
-          (h, t_ns, cancel_at, i))
+          (fun i (t_ns, (typed, cancel_at)) ->
+            let at = Time.of_ns t_ns in
+            let cancel =
+              if typed then begin
+                let c = Scheduler.Event.schedule_at pool at i in
+                fun () -> ignore (Scheduler.Event.cancel pool c : int option)
+              end
+              else begin
+                let tm = Scheduler.Timer.create s record i in
+                Scheduler.Timer.schedule_at tm at;
+                fun () -> Scheduler.Timer.cancel tm
+              end
+            in
+            (i, t_ns, cancel_at, cancel))
           trace
       in
       (* A cancel only counts when it strictly precedes the victim's
-         due time; otherwise the victim fires first and the cancel is
-         a no-op on an already-fired event. *)
+         due time; a later one would hit an already-fired event (and,
+         for cells, trip the stale-handle sanitizer by contract). *)
+      let cancels = Scheduler.Event.pool s ~fire:(fun cancel -> cancel ()) in
       let expected = ref [] in
       List.iter
-        (fun (h, t_ns, cancel_at, i) ->
+        (fun (i, t_ns, cancel_at, cancel) ->
           match cancel_at with
           | Some c_ns when c_ns < t_ns ->
-            ignore
-              (Scheduler.schedule_at s (Time.of_ns c_ns) (fun () ->
-                   Scheduler.cancel s h))
+            ignore (Scheduler.Event.schedule_at cancels (Time.of_ns c_ns) cancel)
           | Some _ | None -> expected := (t_ns, i) :: !expected)
-        handles;
+        arms;
       Scheduler.run s;
-      List.rev !fired = List.sort compare (List.rev !expected))
+      List.rev !fired = List.sort compare !expected)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Timer *)
@@ -342,21 +377,18 @@ let test_timer_cancel_rearm () =
   check_int "superseded arm fires once" 2 !count
 
 let test_timer_seq_interleaving () =
-  (* A Timer consumes one seq per arm, exactly like schedule_at: armed
-     before a same-time one-shot, it fires first; re-armed after, it
-     fires second. *)
+  (* A Timer consumes one seq per arm, exactly like an Event arm:
+     armed before a same-time one-shot, it fires first; re-armed after,
+     it fires second. *)
   let s = Scheduler.create () in
   let log = ref [] in
   let tm = Scheduler.Timer.create s (fun () -> log := "timer" :: !log) () in
+  let oneshot = Scheduler.Event.pool s ~fire:(fun tag -> log := tag :: !log) in
   Scheduler.Timer.schedule_at tm (Time.of_ms 1.);
-  ignore
-    (Scheduler.schedule_at s (Time.of_ms 1.) (fun () ->
-         log := "oneshot" :: !log));
+  ignore (Scheduler.Event.schedule_at oneshot (Time.of_ms 1.) "oneshot");
   Scheduler.run s;
   Scheduler.Timer.schedule_at tm (Time.of_ms 2.);
-  ignore
-    (Scheduler.schedule_at s (Time.of_ms 2.) (fun () ->
-         log := "oneshot2" :: !log));
+  ignore (Scheduler.Event.schedule_at oneshot (Time.of_ms 2.) "oneshot2");
   (* Re-arm after the one-shot: the timer moves behind it. *)
   Scheduler.Timer.schedule_at tm (Time.of_ms 2.);
   Scheduler.run s;
@@ -367,16 +399,18 @@ let test_timer_seq_interleaving () =
 
 let test_scheduler_tombstones_and_compaction () =
   let s = Scheduler.create () in
+  let p = Scheduler.Event.pool s ~fire:ignore in
   (* 200 events within the level-0 cutoff (< 1024 ns), so they all land
      in the heap; cancelling all but every 10th leaves 180 tombstones,
      which must trip compaction (threshold: > 64 and > half the heap). *)
-  let handles =
+  let cells =
     List.init 200 (fun i ->
-        Scheduler.schedule_at s (Time.of_ns (i mod 1000)) ignore)
+        Scheduler.Event.schedule_at p (Time.of_ns (i mod 1000)) ())
   in
   List.iteri
-    (fun i h -> if i mod 10 <> 0 then Scheduler.cancel s h)
-    handles;
+    (fun i c ->
+      if i mod 10 <> 0 then ignore (Scheduler.Event.cancel p c : unit option))
+    cells;
   check_int "pending counts live only" 20 (Scheduler.pending_events s);
   check_bool "compaction kept tombstones low" true
     (Scheduler.cancelled_pending s <= 100);
@@ -390,11 +424,9 @@ let test_scheduler_far_future () =
      re-dispatches as the cursor reaches it; order is preserved. *)
   let s = Scheduler.create () in
   let log = ref [] in
-  ignore
-    (Scheduler.schedule_at s (Time.of_sec 50_000.) (fun () ->
-         log := "far" :: !log));
-  ignore
-    (Scheduler.schedule_at s (Time.of_ms 1.) (fun () -> log := "near" :: !log));
+  let p = Scheduler.Event.pool s ~fire:(fun tag -> log := tag :: !log) in
+  ignore (Scheduler.Event.schedule_at p (Time.of_sec 50_000.) "far");
+  ignore (Scheduler.Event.schedule_at p (Time.of_ms 1.) "near");
   Scheduler.run s;
   Alcotest.(check (list string)) "near before far" [ "near"; "far" ]
     (List.rev !log);
@@ -403,63 +435,6 @@ let test_scheduler_far_future () =
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Event: pooled typed cells *)
-
-(* The typed event path must be observationally identical to the
-   closure path: same trace of arms and mid-run cancels, same log of
-   (payload, fire-time) — which pins time, (time, seq) tie order and
-   side-effect order all at once. The reference run schedules every
-   event as a closure; the pool run routes the flagged subset through
-   an Event pool. Both runs arm in the same order, and one seq is
-   consumed per arm on either path, so any divergence in the interleaving
-   of typed and closure events shows up as a reordered log. *)
-let prop_event_pool_matches_closures =
-  QCheck.Test.make ~name:"typed event pool matches closure reference"
-    ~count:200
-    QCheck.(
-      list (pair (int_bound 5_000_000) (pair bool (option (int_bound 4_999_999)))))
-    (fun trace ->
-      let run use_pool =
-        let s = Scheduler.create () in
-        let log = ref [] in
-        let record i = log := (i, Time.to_ns (Scheduler.now s)) :: !log in
-        let pool = Scheduler.Event.pool s ~fire:record in
-        let arms =
-          List.mapi
-            (fun i (t_ns, (typed, cancel_at)) ->
-              let cancel =
-                if use_pool && typed then begin
-                  let c = Scheduler.Event.schedule_at pool (Time.of_ns t_ns) i in
-                  fun () -> ignore (Scheduler.Event.cancel pool c)
-                end
-                else begin
-                  let h =
-                    Scheduler.schedule_at s (Time.of_ns t_ns) (fun () ->
-                        record i)
-                  in
-                  fun () -> Scheduler.cancel s h
-                end
-              in
-              (i, t_ns, cancel_at, cancel))
-            trace
-        in
-        (* Cancels that strictly precede the victim's due time count;
-           later ones would race an already-fired event (and, for
-           cells, trip the stale-handle sanitizer by contract). *)
-        let expected = ref [] in
-        List.iter
-          (fun (i, t_ns, cancel_at, cancel) ->
-            match cancel_at with
-            | Some c_ns when c_ns < t_ns ->
-              ignore (Scheduler.schedule_at s (Time.of_ns c_ns) cancel)
-            | Some _ | None -> expected := (t_ns, i) :: !expected)
-          arms;
-        Scheduler.run s;
-        (List.rev !log, List.sort compare (List.rev !expected))
-      in
-      let log_ref, _ = run false in
-      let log_pool, expected = run true in
-      log_ref = log_pool
-      && log_pool = List.map (fun (t, i) -> (i, t)) expected)
 
 let test_event_cell_reuse () =
   (* A fire handler that re-arms into its own pool must reuse the very
@@ -628,46 +603,6 @@ let test_rng_bad_args () =
   Alcotest.check_raises "exp mean" (Invalid_argument "Rng.exponential: mean must be positive")
     (fun () -> ignore (Rng.exponential r ~mean:0.))
 
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-module Trace = Sim_engine.Trace
-
-let test_trace_levels () =
-  let t = Trace.create () in
-  check_bool "disabled by default" false (Trace.enabled t Trace.Error);
-  Trace.set_level t (Some Trace.Warn);
-  check_bool "error visible at warn" true (Trace.enabled t Trace.Error);
-  check_bool "warn visible at warn" true (Trace.enabled t Trace.Warn);
-  check_bool "info hidden at warn" false (Trace.enabled t Trace.Info);
-  check_bool "debug hidden at warn" false (Trace.enabled t Trace.Debug);
-  Trace.set_level t (Some Trace.Debug);
-  check_bool "debug visible at debug" true (Trace.enabled t Trace.Debug);
-  Trace.set_level t None;
-  check_bool "level read back" true (Trace.level t = None)
-
-let test_trace_disabled_is_silent () =
-  let t = Trace.create () in
-  (* Must not raise and must not print (we cannot capture stderr here,
-     but the ifprintf path is exercised). *)
-  Trace.debugf t ~component:"test" "invisible %d" 42;
-  Trace.errorf t ~component:"test" "also invisible %s" "x";
-  check_bool "survived" true true
-
-let test_trace_per_sim_isolation () =
-  (* Two simulations: configuring tracing on one must not affect the
-     other — the exact leak simlint rule D001 guards against. *)
-  let s1 = Scheduler.create () and s2 = Scheduler.create () in
-  let t1 = Sim_engine.Sim_ctx.trace (Scheduler.ctx s1) in
-  let t2 = Sim_engine.Sim_ctx.trace (Scheduler.ctx s2) in
-  Trace.set_level t1 (Some Trace.Debug);
-  check_bool "sim 1 sees its level" true (Trace.enabled t1 Trace.Debug);
-  check_bool "sim 2 unaffected" false (Trace.enabled t2 Trace.Error);
-  Trace.set_level t2 (Some Trace.Warn);
-  Trace.set_level t1 None;
-  check_bool "sim 2 keeps its level" true (Trace.enabled t2 Trace.Warn);
-  check_bool "sim 1 disabled" false (Trace.enabled t1 Trace.Error)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -719,7 +654,6 @@ let () =
             test_event_cancel_then_rearm;
           Alcotest.test_case "stale handle cancel" `Quick test_event_stale_cancel;
           Alcotest.test_case "pool accounting" `Quick test_event_pool_accounting;
-          qt prop_event_pool_matches_closures;
         ] );
       ( "rng",
         [
@@ -733,11 +667,5 @@ let () =
           qt prop_rng_float_bounds;
           qt prop_rng_shuffle_permutes;
           qt prop_rng_derangement;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "levels" `Quick test_trace_levels;
-          Alcotest.test_case "disabled silent" `Quick test_trace_disabled_is_silent;
-          Alcotest.test_case "per-sim isolation" `Quick test_trace_per_sim_isolation;
         ] );
     ]

@@ -159,8 +159,8 @@ let prop_ecmp_in_range =
 let prop_ecmp_pure_function =
   (* Path selection is a pure function of (5-tuple, salt): distinct
      packet objects with distinct uids and payload sizes, and repeated
-     evaluations, all agree. This is the property the domain-parallel
-     runner leans on — spraying must not depend on allocation order or
+     evaluations, all agree. This is the property the parallel runner
+     leans on — spraying must not depend on allocation order or
      anything else ambient. *)
   QCheck.Test.make ~name:"ecmp pure function of (5-tuple, salt)" ~count:500
     QCheck.(

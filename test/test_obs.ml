@@ -3,11 +3,11 @@
    the rest of the repo relies on — a disabled registry is inert, an
    enabled probe does not perturb simulation results, the sampler
    timer does not leak pending events, and probe artifacts are
-   byte-identical at any job count. *)
+   byte-identical whether the points run in-process or on worker
+   processes. *)
 
 module Time = Sim_engine.Sim_time
 module Scheduler = Sim_engine.Scheduler
-module Trace = Sim_engine.Trace
 module Probe = Sim_engine.Probe
 module Metrics = Sim_obs.Metrics
 module Series = Sim_obs.Series
@@ -22,7 +22,8 @@ module Scenario = Sim_workload.Scenario
 module Scale = Sim_experiments.Scale
 module Sink = Sim_experiments.Sink
 module Probe_sink = Sim_experiments.Probe_sink
-module Runner = Sim_experiments.Runner
+module Experiment = Sim_experiments.Experiment
+module Registry = Sim_experiments.Registry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -85,8 +86,9 @@ let test_sampler_ticks_and_rows () =
   let counter = ref 0 in
   Metrics.register m ~component:"test" ~id:"t" ~name:"count" ~units:"n"
     (fun () -> float_of_int !counter);
-  ignore
-    (Scheduler.schedule_at sched (Time.of_ms 25.) (fun () -> counter := 7));
+  Scheduler.Timer.schedule_at
+    (Scheduler.Timer.create sched (fun () -> counter := 7) ())
+    (Time.of_ms 25.);
   Probe.start p;
   Scheduler.run ~until:(Time.of_ms 100.) sched;
   let c = Probe.capture p in
@@ -212,26 +214,6 @@ let test_queue_gauges_and_drop_events () =
   check_int "stamped by the clock" 123 evs.(0).Metrics.t_ns
 
 (* ------------------------------------------------------------------ *)
-(* Trace component filter *)
-
-let test_trace_component_filter () =
-  let t = Trace.create () in
-  Trace.set_level t (Some Trace.Debug);
-  check_bool "no filter: any component" true
-    (Trace.enabled_for t Trace.Debug ~component:"tcp_tx");
-  Trace.set_components t (Some [ "tcp_tx"; "pktqueue" ]);
-  check_bool "listed component passes" true
-    (Trace.enabled_for t Trace.Info ~component:"pktqueue");
-  check_bool "unlisted component blocked" false
-    (Trace.enabled_for t Trace.Info ~component:"ecmp");
-  check_bool "level still gates" false
-    (Trace.enabled_for t Trace.Debug ~component:"tcp_tx"
-    && Trace.level t = Some Trace.Info);
-  Trace.set_components t None;
-  check_bool "filter removable" true
-    (Trace.enabled_for t Trace.Info ~component:"ecmp")
-
-(* ------------------------------------------------------------------ *)
 (* Co-installation with Flowmon *)
 
 (* The metrics drop tap and Flowmon must observe the same drops
@@ -311,27 +293,66 @@ let test_probe_does_not_perturb () =
     "flow outcomes identical with probing on"
     (flow_fingerprint bare) (flow_fingerprint probed)
 
-(* Render a capture exactly as `--out` would and compare bytes. *)
-let artifact_bytes (r : Scenario.result) =
-  match r.Scenario.obs with
-  | None -> []
-  | Some c ->
-    Probe_sink.artifacts ~experiment:"test" [ ("point", c) ]
-    |> List.map (function
-         | Sink.Table t -> Sink.csv_string t ^ Sink.json_string t
-         | Sink.Raw { basename; contents } -> basename ^ contents)
+(* The probed sweep as a registry experiment, so its captures take the
+   same path as `--probe-interval ... --out` on the CLI: rendered by
+   Probe_sink, in-process at jobs 1 or marshalled back from worker
+   processes at jobs > 1. *)
+let probe_suite =
+  [
+    Experiment.make ~name:"probed" ~doc:"probed MMPTCP runs"
+      ~points:(fun _ -> [ 11; 12; 13 ])
+      ~point_label:string_of_int
+      ~run_point:(fun _ seed ->
+        Option.get (Scenario.run (scenario_cfg ~seed ~obs:probe_obs)).Scenario.obs)
+      ~render:(fun _ _ -> ())
+      ~capture:Option.some ();
+  ]
+
+(* The test binary doubles as the worker process: spawned with the
+   hidden flag it serves [probe_suite]'s points and never reaches
+   Alcotest. *)
+let worker_argv = [| Sys.executable_name; "--proc-worker" |]
+
+let () =
+  match Sys.argv with
+  | [| _; "--proc-worker" |] ->
+    Registry.worker Scale.tiny probe_suite;
+    exit 0
+  | _ -> ()
+
+let artifact_files ~jobs =
+  let dir = Filename.temp_file "mmptcp_probe" "" in
+  Sys.remove dir;
+  Registry.run ~out:dir ~worker_argv ~jobs Scale.tiny probe_suite;
+  (* manifest.json legitimately differs (jobs count, timings). *)
+  let names =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> f <> "manifest.json")
+    |> List.sort compare
+  in
+  let files =
+    List.map
+      (fun f ->
+        let path = Filename.concat dir f in
+        let ic = open_in_bin path in
+        let bytes = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        (f, bytes))
+      names
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  files
 
 let test_probe_artifacts_jobs_invariant () =
-  let seeds = [ 11; 12; 13 ] in
-  let at jobs =
-    Runner.par_map ~jobs
-      (fun seed -> artifact_bytes (Scenario.run (scenario_cfg ~seed ~obs:probe_obs)))
-      seeds
-  in
-  let one = at 1 and three = at 3 in
-  check_bool "artifact bytes identical at jobs 1 vs 3" true (one = three);
-  check_bool "artifacts non-empty" true
-    (List.for_all (fun a -> a <> []) one)
+  let one = artifact_files ~jobs:1 and two = artifact_files ~jobs:2 in
+  Alcotest.(check (list string))
+    "same artifact set at jobs 1 vs 2" (List.map fst one) (List.map fst two);
+  List.iter2
+    (fun (f, a) (_, b) -> check_string (f ^ " byte-identical") a b)
+    one two;
+  check_bool "probe artifacts written" true
+    (List.exists (fun (f, _) -> String.starts_with ~prefix:"probe-" f) one)
 
 let () =
   Alcotest.run "obs"
@@ -366,11 +387,6 @@ let () =
             test_drop_hooks_run_in_install_order;
           Alcotest.test_case "gauges and drop events" `Quick
             test_queue_gauges_and_drop_events;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "component filter" `Quick
-            test_trace_component_filter;
         ] );
       ( "flowmon",
         [

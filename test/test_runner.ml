@@ -1,18 +1,14 @@
 (* Determinism and parallel-runner tests: a simulation is a pure
-   function of its config (no cross-run state), par_map matches
-   List.map element-for-element at any job count, the domain pool
-   shuts down cleanly even when jobs raise, and the process pool
+   function of its config (no cross-run state), and the process pool
    matches the sequential path byte-for-byte while surviving worker
    failures. *)
 
 module Scenario = Sim_workload.Scenario
 module Scale = Sim_experiments.Scale
-module Fig1a = Sim_experiments.Fig1a
 module Runner = Sim_experiments.Runner
 module Experiment = Sim_experiments.Experiment
 module Registry = Sim_experiments.Registry
 module Sink = Sim_experiments.Sink
-module Domain_pool = Sim_engine.Domain_pool
 module Proc_pool = Sim_engine.Proc_pool
 
 let check_bool = Alcotest.(check bool)
@@ -31,12 +27,12 @@ let contains hay needle =
    pipe protocol and never reaches Alcotest. The registry modes
    rebuild the same suites the coordinating test passes to
    [Registry.run] — parent and worker agreeing on what job index [i]
-   means is exactly the [Processes] mode contract. *)
+   means is exactly the worker-process contract. *)
 
 let worker_argv mode = [| Sys.executable_name; "--proc-worker"; mode |]
 
 (* Two cheap synthetic experiments: the mini-suite exercises the whole
-   Processes pipeline — shared queue, marshalling, render-in-registry-
+   worker-process pipeline — shared queue, marshalling, render-in-registry-
    order, artifact sinks — in milliseconds. *)
 let mini_suite =
   let squares =
@@ -125,89 +121,6 @@ let test_back_to_back_runs_identical () =
   check_bool "identical flow results" true (results_identical r1 r2)
 
 (* ------------------------------------------------------------------ *)
-(* par_map semantics *)
-
-let test_par_map_preserves_order () =
-  let xs = List.init 50 Fun.id in
-  Alcotest.(check (list int))
-    "squares in input order"
-    (List.map (fun x -> x * x) xs)
-    (Runner.par_map ~jobs:3 (fun x -> x * x) xs)
-
-let test_par_map_edge_cases () =
-  Alcotest.(check (list int)) "empty" [] (Runner.par_map ~jobs:4 succ []);
-  Alcotest.(check (list int)) "jobs=1" [ 2; 3 ] (Runner.par_map ~jobs:1 succ [ 1; 2 ]);
-  Alcotest.(check (list int))
-    "more jobs than items" [ 2 ]
-    (Runner.par_map ~jobs:8 succ [ 1 ]);
-  Alcotest.check_raises "jobs=0"
-    (Invalid_argument "Runner.par_map: jobs must be >= 1") (fun () ->
-      ignore (Runner.par_map ~jobs:0 succ [ 1 ]))
-
-let test_par_map_matches_sequential_fig1a () =
-  (* The acceptance check from the issue: the F1a sweep fanned over 4
-     domains is element-for-element identical to the sequential map. *)
-  let cfgs = List.map snd (Fig1a.configs ~lo:1 ~hi:2 Scale.tiny) in
-  let seq = Runner.par_map ~jobs:1 Scenario.run cfgs in
-  let par = Runner.par_map ~jobs:4 Scenario.run cfgs in
-  check_int "lengths" (List.length seq) (List.length par);
-  List.iteri
-    (fun i (a, b) ->
-      check_bool
-        (Printf.sprintf "sweep point %d identical" i)
-        true (results_identical a b))
-    (List.combine seq par)
-
-let test_par_map_propagates_exception () =
-  (match
-     Runner.par_map ~jobs:2
-       (fun x -> if x mod 2 = 0 then failwith (string_of_int x) else x)
-       [ 1; 2; 3; 4 ]
-   with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure m ->
-    (* Earliest failed input wins, whatever order the domains ran in. *)
-    Alcotest.(check string) "earliest failure" "2" m);
-  (* The failing map joined its pool; a fresh map works immediately. *)
-  Alcotest.(check (list int))
-    "runner usable after failure" [ 2; 4; 6 ]
-    (Runner.par_map ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
-
-(* ------------------------------------------------------------------ *)
-(* Domain_pool lifecycle *)
-
-let test_pool_runs_all_jobs () =
-  let n = 100 in
-  let hits = Array.make n false in
-  Domain_pool.run ~domains:3 (fun pool ->
-      for i = 0 to n - 1 do
-        Domain_pool.submit pool (fun () -> hits.(i) <- true)
-      done);
-  check_bool "every job ran" true (Array.for_all Fun.id hits)
-
-let test_pool_clean_shutdown_on_raise () =
-  (* A job that raises must neither kill its worker nor hang shutdown:
-     later jobs still run and [run] returns. *)
-  let survived = ref false in
-  Domain_pool.run ~domains:1 (fun pool ->
-      Domain_pool.submit pool (fun () -> failwith "stray");
-      Domain_pool.submit pool (fun () -> survived := true));
-  check_bool "job after stray exception still ran" true !survived
-
-let test_pool_submit_after_shutdown () =
-  let pool = Domain_pool.create ~domains:2 in
-  Domain_pool.submit pool ignore;
-  Domain_pool.shutdown pool;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Domain_pool.submit: pool is shut down") (fun () ->
-      Domain_pool.submit pool ignore)
-
-let test_pool_bad_domains () =
-  Alcotest.check_raises "domains=0"
-    (Invalid_argument "Domain_pool.create: domains must be >= 1") (fun () ->
-      ignore (Domain_pool.create ~domains:0))
-
-(* ------------------------------------------------------------------ *)
 (* Proc_pool: the raw pipe protocol *)
 
 let test_proc_pool_runs_all_points () =
@@ -230,6 +143,20 @@ let test_proc_pool_runs_all_points () =
       | None -> Alcotest.fail (Printf.sprintf "point %d never delivered" i))
     results
 
+let test_proc_pool_edge_cases () =
+  Alcotest.check_raises "jobs=0"
+    (Invalid_argument "Proc_pool.run: jobs must be >= 1") (fun () ->
+      Proc_pool.run ~jobs:0 ~worker_argv:(worker_argv "square") ~n:1
+        ~deliver:(fun _ _ -> ()));
+  (* No points: nothing is spawned, nothing delivered. *)
+  Proc_pool.run ~jobs:4 ~worker_argv:(worker_argv "square") ~n:0
+    ~deliver:(fun i _ -> Alcotest.failf "point %d delivered from n=0" i);
+  (* More workers asked for than points: still one delivery each. *)
+  let got = ref [] in
+  Proc_pool.run ~jobs:8 ~worker_argv:(worker_argv "square") ~n:1
+    ~deliver:(fun i r -> got := (i, r) :: !got);
+  check_bool "single point delivered once" true (!got = [ (0, Ok "0") ])
+
 let test_proc_pool_dead_worker_no_hang () =
   (* One worker exits mid-point without replying. The pool must report
      that point as failed, finish every other point on the survivor,
@@ -250,7 +177,7 @@ let test_proc_pool_dead_worker_no_hang () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Registry Processes mode *)
+(* Registry on worker processes *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -278,8 +205,8 @@ let test_processes_artifacts_match_sequential () =
       rm_rf par_dir)
     (fun () ->
       Registry.run ~out:seq_dir ~jobs:1 Scale.tiny mini_suite;
-      Registry.run ~out:par_dir ~exec_mode:Registry.Processes
-        ~worker_argv:(worker_argv "mini") ~jobs:2 Scale.tiny mini_suite;
+      Registry.run ~out:par_dir ~worker_argv:(worker_argv "mini") ~jobs:2
+        Scale.tiny mini_suite;
       (* manifest.json legitimately differs (jobs count, timings);
          every experiment artifact must match byte-for-byte. *)
       let files dir =
@@ -300,8 +227,8 @@ let test_processes_artifacts_match_sequential () =
 
 let test_processes_point_failure_attributed () =
   match
-    Registry.run ~exec_mode:Registry.Processes
-      ~worker_argv:(worker_argv "failing") ~jobs:2 Scale.tiny failing_suite
+    Registry.run ~worker_argv:(worker_argv "failing") ~jobs:2 Scale.tiny
+      failing_suite
   with
   | () -> Alcotest.fail "expected Point_failed"
   | exception Runner.Point_failed { experiment; point; exn } ->
@@ -313,6 +240,14 @@ let test_processes_point_failure_attributed () =
     check_bool "cause carries the worker's exception" true
       (contains cause "synthetic point failure")
 
+(* jobs > 1 runs only on worker processes; without a worker command
+   line there is no way to honour it, so the call is refused up front
+   rather than quietly run some other way. *)
+let test_jobs_need_worker_argv () =
+  Alcotest.check_raises "jobs=2, no worker_argv"
+    (Invalid_argument "Registry.run: jobs > 1 requires ~worker_argv")
+    (fun () -> Registry.run ~jobs:2 Scale.tiny mini_suite)
+
 let () =
   Alcotest.run "runner"
     [
@@ -321,33 +256,18 @@ let () =
           Alcotest.test_case "back-to-back runs identical" `Slow
             test_back_to_back_runs_identical;
         ] );
-      ( "par_map",
-        [
-          Alcotest.test_case "preserves order" `Quick test_par_map_preserves_order;
-          Alcotest.test_case "edge cases" `Quick test_par_map_edge_cases;
-          Alcotest.test_case "matches sequential fig1a sweep" `Slow
-            test_par_map_matches_sequential_fig1a;
-          Alcotest.test_case "propagates exception" `Quick
-            test_par_map_propagates_exception;
-        ] );
-      ( "domain_pool",
-        [
-          Alcotest.test_case "runs all jobs" `Quick test_pool_runs_all_jobs;
-          Alcotest.test_case "clean shutdown on raise" `Quick
-            test_pool_clean_shutdown_on_raise;
-          Alcotest.test_case "submit after shutdown" `Quick
-            test_pool_submit_after_shutdown;
-          Alcotest.test_case "bad domains" `Quick test_pool_bad_domains;
-        ] );
       ( "proc_pool",
         [
           Alcotest.test_case "runs all points" `Quick
             test_proc_pool_runs_all_points;
+          Alcotest.test_case "edge cases" `Quick test_proc_pool_edge_cases;
           Alcotest.test_case "dead worker no hang" `Quick
             test_proc_pool_dead_worker_no_hang;
           Alcotest.test_case "processes artifacts match sequential" `Quick
             test_processes_artifacts_match_sequential;
           Alcotest.test_case "point failure attributed" `Quick
             test_processes_point_failure_attributed;
+          Alcotest.test_case "jobs > 1 requires worker_argv" `Quick
+            test_jobs_need_worker_argv;
         ] );
     ]

@@ -1,10 +1,10 @@
 (* Determinism & parallel-safety lint for the simulator libraries.
 
-   The domain-parallel runner (Runner.par_map) relies on every
-   simulation being a pure function of its inputs: no module-level
-   mutable state, no ambient randomness or wall-clock reads, no
-   unstable polymorphic hashing, console output confined to the
-   report layer, raw concurrency primitives confined to Domain_pool,
+   The experiment runner relies on every simulation being a pure
+   function of its inputs, whether it runs in-process or on a worker
+   process: no module-level mutable state, no ambient randomness or
+   wall-clock reads, no unstable polymorphic hashing, console output
+   confined to the report layer, raw concurrency primitives and
    process spawning confined to Proc_pool, and — D007, Simlint_pool —
    no pooled packet escaping the handler it was leased to.
 
@@ -177,18 +177,8 @@ let ident_rule p =
     Some
       ( D005,
         name
-        ^ " is a concurrency primitive; cross-domain coordination lives \
-           only in Sim_engine.Domain_pool" )
-  | comps
-    when (match List.rev comps with
-         | ("schedule_at" | "schedule_after") :: "Scheduler" :: _ -> true
-         | _ -> false) ->
-    Some
-      ( D008,
-        name
-        ^ " allocates a closure per event; steady-state code must arm a \
-           re-armable Scheduler.Timer or fill a Scheduler.Event pool cell \
-           instead (allowlist genuinely cold setup sites)" )
+        ^ " is a concurrency primitive; simulations are single-threaded \
+           and fan out only through Sim_engine.Proc_pool" )
   | _ -> None
 
 let scan_idents ~emit (str : Typedtree.structure) =

@@ -18,7 +18,8 @@
       [prerr_*], [Format.printf], ...) — stdout discipline belongs to
       the report layer (allowlisted in [simlint.allow]).
     - [D005] no [Domain]/[Mutex]/[Condition]/[Atomic] use. Built-in
-      exemption: [domain_pool.ml].
+      exemption: [proc_pool.ml], whose only use is sizing the default
+      worker count.
     - [D006] no raw process spawning ([Unix.fork],
       [Unix.create_process*], [Unix.open_process*], [Unix.system]) — a
       stray fork duplicates simulation state and bypasses the worker
@@ -32,11 +33,6 @@
       packet passed as a deferred-event payload (timer state, Event
       cell payload) outside those modules is the same escape and is
       flagged too.
-    - [D008] no closure-per-event scheduling
-      ([Scheduler.schedule_at]/[schedule_after]) — steady-state code
-      must arm a re-armable {!Scheduler.Timer} or fill a pooled
-      {!Scheduler.Event} cell; genuinely cold setup sites are
-      allowlisted in [simlint.allow].
 
     Since v2 the analysis runs on [.cmt] files ([Cmt_format], produced
     by dune's default [-bin-annot]): identifiers are matched on
@@ -54,7 +50,6 @@ type rule =
   | D005
   | D006
   | D007
-  | D008
 
 val rule_id : rule -> string
 val rule_of_id : string -> rule option

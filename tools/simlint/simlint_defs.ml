@@ -1,8 +1,8 @@
 (* Shared vocabulary of the lint: rule ids, findings, resolved-path
    helpers and the allowlist. Rule implementations live in
-   Simlint_core (D001-D006, D008) and Simlint_pool (D007). *)
+   Simlint_core (D001-D006) and Simlint_pool (D007). *)
 
-type rule = D001 | D002 | D003 | D004 | D005 | D006 | D007 | D008
+type rule = D001 | D002 | D003 | D004 | D005 | D006 | D007
 
 let rule_id = function
   | D001 -> "D001"
@@ -12,7 +12,6 @@ let rule_id = function
   | D005 -> "D005"
   | D006 -> "D006"
   | D007 -> "D007"
-  | D008 -> "D008"
 
 let rule_of_id = function
   | "D001" -> Some D001
@@ -22,7 +21,6 @@ let rule_of_id = function
   | "D005" -> Some D005
   | "D006" -> Some D006
   | "D007" -> Some D007
-  | "D008" -> Some D008
   | _ -> None
 
 type finding = {
@@ -67,10 +65,9 @@ let exempt file rule =
   match rule with
   | D001 -> base = "sim_ctx.ml"
   | D002 -> base = "rng.ml"
-  | D005 -> base = "domain_pool.ml"
-  | D006 -> base = "proc_pool.ml"
+  | D005 | D006 -> base = "proc_pool.ml"
   | D007 -> base = "packet.ml" || base = "pktqueue.ml" || base = "link.ml"
-  | D003 | D004 | D008 -> false
+  | D003 | D004 -> false
 
 (* ------------------------------------------------------------------ *)
 (* Resolved-path helpers (typed tree: paths are what the typechecker
@@ -139,7 +136,7 @@ let parse_allow_line ~lineno line =
       | None ->
         raise
           (Allow_syntax
-             (Printf.sprintf "line %d: unknown rule %S (expected D001-D008)"
+             (Printf.sprintf "line %d: unknown rule %S (expected D001-D007)"
                 lineno rid))
       | Some r -> Some { a_file = path; a_rule = r; a_line = lineno })
 

@@ -1,7 +1,6 @@
-(* Fixture: a closure handed to the scheduler may fire after the
+(* Fixture: a closure handed to a scheduler timer may fire after the
    packet has been freed and reissued to a different segment. *)
 let on_packet sched (pkt : Sim_net.Packet.t) =
-  ignore
-    (Sim_engine.Scheduler.schedule_after sched
-       (Sim_engine.Sim_time.of_ns 10)
-       (fun () -> ignore (Sim_net.Packet.sack_blocks pkt)))
+  Sim_engine.Scheduler.Timer.create sched
+    (fun () -> ignore (Sim_net.Packet.sack_blocks pkt))
+    ()

@@ -69,8 +69,8 @@ let test_d006_spawn () =
 (* Each bad fixture must produce exactly one D007 finding at the
    escape site (file, line and column all checked), and each good
    fixture — the sanctioned Packet.copy patterns — none at all.
-   Filtered by rule: the closure-capture fixture legitimately also
-   trips D008 (it schedules a closure), asserted separately below. *)
+   Filtered by rule, so a fixture's incidental findings of other rules
+   cannot mask or fake the D007 one. *)
 let check_d007 file ~line ~col () =
   match
     List.filter (fun (f : L.finding) -> f.rule = L.D007) (findings_of file)
@@ -85,7 +85,7 @@ let check_d007 file ~line ~col () =
       (String.concat "\n" (List.map L.pp_finding fs))
 
 let test_d007_field_store = check_d007 "bad_d007_field_store.ml" ~line:5 ~col:62
-let test_d007_closure = check_d007 "bad_d007_closure_capture.ml" ~line:7 ~col:53
+let test_d007_closure = check_d007 "bad_d007_closure_capture.ml" ~line:5 ~col:50
 
 let test_d007_container =
   check_d007 "bad_d007_container_insert.ml" ~line:4 ~col:13
@@ -108,30 +108,6 @@ let test_d007_good_drop_hook () =
 let test_d007_payload_arg =
   check_d007 "bad_d007_payload_arg.ml" ~line:10 ~col:7
 
-(* --- D008: closure-per-event scheduling --- *)
-
-(* The bad fixture arms two closure events; both must be flagged at
-   the call identifier (exact line and column), in source order. *)
-let test_d008_closure_event () =
-  match findings_of "bad_d008_closure_event.ml" with
-  | [ a; b ] ->
-    Alcotest.(check (list rule)) "rules" [ L.D008; L.D008 ] [ a.L.rule; b.L.rule ];
-    Alcotest.(check (list int)) "lines" [ 6; 10 ] [ a.L.line; b.L.line ];
-    Alcotest.(check (list int)) "cols" [ 5; 5 ] [ a.L.col; b.L.col ]
-  | fs ->
-    Alcotest.failf "expected exactly two D008 findings, got %d:\n%s"
-      (List.length fs)
-      (String.concat "\n" (List.map L.pp_finding fs))
-
-let test_d008_typed_event_clean () =
-  check_rules "Timer/Event arms do not trip D008" "good_d008_typed_event.ml" []
-
-(* Scheduling a closure that captures a packet is both escapes at
-   once: the D007 capture and the D008 closure arm. *)
-let test_d008_on_capture_fixture () =
-  check_rules "closure capture also arms a closure"
-    "bad_d007_closure_capture.ml" [ L.D008; L.D007 ]
-
 (* --- clean code and built-in exemptions --- *)
 
 let test_clean_local_state () =
@@ -140,8 +116,8 @@ let test_clean_local_state () =
 let test_exempt_sim_ctx () =
   check_rules "sim_ctx.ml may own state" "sim_ctx.ml" []
 
-let test_exempt_domain_pool () =
-  check_rules "domain_pool.ml may use Domain" "domain_pool.ml" []
+let test_exempt_proc_pool_d005 () =
+  check_rules "proc_pool.ml may use Domain" "proc_pool.ml" []
 
 let test_exempt_proc_pool () =
   check_rules "proc_pool.ml may spawn processes" "proc_pool.ml" []
@@ -250,7 +226,7 @@ let test_allow_rejects_garbage () =
       output_string oc "lib/foo.ml:D999\n";
       close_out oc;
       Alcotest.check_raises "unknown rule"
-        (L.Allow_syntax "line 1: unknown rule \"D999\" (expected D001-D008)")
+        (L.Allow_syntax "line 1: unknown rule \"D999\" (expected D001-D007)")
         (fun () -> ignore (L.parse_allow_file tmp)))
 
 (* --- tree scanning --- *)
@@ -311,20 +287,12 @@ let () =
             test_d007_good_drop_hook;
           Alcotest.test_case "deferred payload arg" `Quick test_d007_payload_arg;
         ] );
-      ( "d008",
-        [
-          Alcotest.test_case "closure events flagged" `Quick
-            test_d008_closure_event;
-          Alcotest.test_case "typed arms clean" `Quick
-            test_d008_typed_event_clean;
-          Alcotest.test_case "capture fixture trips both" `Quick
-            test_d008_on_capture_fixture;
-        ] );
       ( "exemptions",
         [
           Alcotest.test_case "local state clean" `Quick test_clean_local_state;
           Alcotest.test_case "sim_ctx exempt from D001" `Quick test_exempt_sim_ctx;
-          Alcotest.test_case "domain_pool exempt from D005" `Quick test_exempt_domain_pool;
+          Alcotest.test_case "proc_pool exempt from D005" `Quick
+            test_exempt_proc_pool_d005;
           Alcotest.test_case "proc_pool exempt from D006" `Quick test_exempt_proc_pool;
           Alcotest.test_case "file sinks outside D004" `Quick test_clean_file_sink;
         ] );
