@@ -422,8 +422,13 @@ let conn_fct c =
   | None -> None
   | Some at -> Some (Time.diff at c.c_started)
 
+(* A conn drains once at most [byte_tol] bytes remain, so a finished
+   conn's float residue must not truncate its count below [c_size]. *)
 let conn_bytes c =
-  int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_remaining))
+  match c.c_state with
+  | Finished -> c.c_size
+  | Handshake | Running | Draining ->
+    int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_remaining))
 
 let active t = t.active
 let started t = t.started

@@ -155,6 +155,35 @@ let test_fct_above_serialisation () =
         (fct >= float_of_int (8 * size) /. 1e8))
     [ 10_000; 500_000 ]
 
+(* A completed conn reports exactly its size. A conn enters its drain
+   once at most [byte_tol] bytes remain, so the float integration can
+   leave a sub-byte residue; ten back-to-back 70 KB transfers on one
+   1 Gb/s link starting at 260 ms are enough to hit it (several would
+   read 69,999 bytes if the residue leaked into the count). *)
+let test_completed_bytes_exact () =
+  let sched = Scheduler.create () in
+  let eng = Engine.make ~sched ~cap_bps:[| 1e9 |] () in
+  let legs = [| { Engine.path = [| 0 |]; weight = 1.; rtt_s = 1e-4 } |] in
+  let conns = ref [] in
+  let arrivals =
+    Scheduler.Event.pool sched ~fire:(fun () ->
+        conns :=
+          Engine.start eng ~legs ~size:70_000 ~on_complete:(fun _ -> ()) ()
+          :: !conns)
+  in
+  for ms = 260 to 269 do
+    ignore
+      (Scheduler.Event.schedule_at arrivals (Time.of_ms (float_of_int ms)) ())
+  done;
+  Scheduler.run sched;
+  Alcotest.(check int) "all ten started" 10 (List.length !conns);
+  List.iter
+    (fun c ->
+      check_bool "completed" true (Engine.conn_is_complete c);
+      Alcotest.(check int) "bytes = size" (Engine.conn_size c)
+        (Engine.conn_bytes c))
+    !conns
+
 (* ------------------------------------------------------------------ *)
 (* Golden cross-check: tiny dumbbell, fluid within 10% of packet on
    mean short-flow FCT (the ext-fluid-xval gate, pinned in-tree). *)
@@ -195,6 +224,8 @@ let () =
           Alcotest.test_case "fct monotone in size" `Quick test_fct_monotone;
           Alcotest.test_case "fct above serialisation" `Quick
             test_fct_above_serialisation;
+          Alcotest.test_case "completed conn reports its size" `Quick
+            test_completed_bytes_exact;
         ] );
       ( "golden",
         [
