@@ -57,15 +57,15 @@ let test_jobs_invariant () =
     (!log, List.map Sink.rows tables)
   in
   let log1, rows1 = at ~reverse:false in
-  let log4, rows4 = at ~reverse:true in
+  let log_rev, rows_rev = at ~reverse:true in
   Alcotest.(check (list (pair int int)))
     "render pairs in declaration order"
     (List.init scale.Scale.flows (fun i -> (i, i * scale.Scale.seed)))
     log1;
   Alcotest.(check bool) "render input independent of completion order"
-    true (log1 = log4);
+    true (log1 = log_rev);
   Alcotest.(check bool) "sink rows independent of completion order" true
-    (rows1 = rows4)
+    (rows1 = rows_rev)
 
 let test_finish_requires_run () =
   let log = ref [] in

@@ -32,8 +32,8 @@ let contains hay needle =
 let worker_argv mode = [| Sys.executable_name; "--proc-worker"; mode |]
 
 (* Two cheap synthetic experiments: the mini-suite exercises the whole
-   worker-process pipeline — shared queue, marshalling, render-in-registry-
-   order, artifact sinks — in milliseconds. *)
+   worker-process pipeline — shared queue, marshalling,
+   render-in-registry-order, artifact sinks — in milliseconds. *)
 let mini_suite =
   let squares =
     Experiment.make ~name:"squares" ~doc:"squares of small ints"
