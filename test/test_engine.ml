@@ -436,6 +436,67 @@ let test_scheduler_far_future () =
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Event: pooled typed cells *)
 
+(* The typed event path must be observationally identical to the
+   closure path: same trace of arms and mid-run cancels, same log of
+   (payload, fire-time) — which pins time, (time, seq) tie order and
+   side-effect order all at once. The reference run arms every event
+   as a one-off Timer over a closure; the pool run routes the flagged
+   subset through an Event pool. Both runs arm in the same order, and
+   one seq is consumed per arm on either path, so any divergence in the
+   interleaving of typed and closure events shows up as a reordered
+   log. *)
+let prop_event_pool_matches_closures =
+  QCheck.Test.make ~name:"typed event pool matches closure reference"
+    ~count:200
+    QCheck.(
+      list (pair (int_bound 5_000_000) (pair bool (option (int_bound 4_999_999)))))
+    (fun trace ->
+      let run use_pool =
+        let s = Scheduler.create () in
+        let log = ref [] in
+        let record i = log := (i, Time.to_ns (Scheduler.now s)) :: !log in
+        let pool = Scheduler.Event.pool s ~fire:record in
+        let closure_at t f =
+          let tm = Scheduler.Timer.create s f () in
+          Scheduler.Timer.schedule_at tm t;
+          tm
+        in
+        let arms =
+          List.mapi
+            (fun i (t_ns, (typed, cancel_at)) ->
+              let at = Time.of_ns t_ns in
+              let cancel =
+                if use_pool && typed then begin
+                  let c = Scheduler.Event.schedule_at pool at i in
+                  fun () -> ignore (Scheduler.Event.cancel pool c : int option)
+                end
+                else begin
+                  let tm = closure_at at (fun () -> record i) in
+                  fun () -> Scheduler.Timer.cancel tm
+                end
+              in
+              (i, t_ns, cancel_at, cancel))
+            trace
+        in
+        (* Cancels that strictly precede the victim's due time count;
+           later ones would race an already-fired event (and, for
+           cells, trip the stale-handle sanitizer by contract). *)
+        let expected = ref [] in
+        List.iter
+          (fun (i, t_ns, cancel_at, cancel) ->
+            match cancel_at with
+            | Some c_ns when c_ns < t_ns ->
+              ignore (closure_at (Time.of_ns c_ns) cancel : Scheduler.Timer.t)
+            | Some _ | None -> expected := (t_ns, i) :: !expected)
+          arms;
+        Scheduler.run s;
+        (List.rev !log, List.sort compare !expected)
+      in
+      let log_ref, _ = run false in
+      let log_pool, expected = run true in
+      log_ref = log_pool
+      && log_pool = List.map (fun (t, i) -> (i, t)) expected)
+
 let test_event_cell_reuse () =
   (* A fire handler that re-arms into its own pool must reuse the very
      cell that just fired (release happens before the handler runs):
@@ -654,6 +715,7 @@ let () =
             test_event_cancel_then_rearm;
           Alcotest.test_case "stale handle cancel" `Quick test_event_stale_cancel;
           Alcotest.test_case "pool accounting" `Quick test_event_pool_accounting;
+          qt prop_event_pool_matches_closures;
         ] );
       ( "rng",
         [
