@@ -62,7 +62,7 @@ let rec trigger_switch t =
     | None -> ());
     let mp_source =
       {
-        Tcp_tx.pull = (fun ~max -> Dataplane.pull t.plane ~max);
+        Tcp_tx.pull = (fun c ~max -> Dataplane.pull t.plane c ~max);
         has_more = (fun () -> Dataplane.unassigned t.plane);
       }
     in
@@ -81,15 +81,15 @@ let rec trigger_switch t =
 and ps_source t =
   {
     Tcp_tx.pull =
-      (fun ~max ->
+      (fun c ~max ->
         match t.phase with
-        | Multipath -> None
+        | Multipath -> false
         | Packet_scatter -> (
           match t.splan.Strategy.switch_after_bytes with
           | Some v when Dataplane.assigned t.plane >= v ->
             trigger_switch t;
-            None
-          | Some _ | None -> Dataplane.pull t.plane ~max));
+            false
+          | Some _ | None -> Dataplane.pull t.plane c ~max));
     has_more =
       (fun () ->
         t.phase = Packet_scatter

@@ -1,37 +1,62 @@
-type t = { mutable state : int64 }
+(* The 64-bit state is two 32-bit halves in int fields rather than a
+   [mutable state : int64] field: such a field holds a pointer to a
+   boxed [int64], so every draw would allocate a fresh box. Each draw
+   reassembles the state into an unboxed local, and [mix64] is
+   inlined, so [int] and [float_trunc] draw without allocating. Only
+   [bits64] and [float] return a boxed value, because their results
+   cross the module boundary. (An 8-byte [Bytes] buffer would work too,
+   but [Bytes.create] is a C call, and every link and queue creates a
+   generator while a topology is built.) *)
+type t = { mutable hi : int; mutable lo : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let[@inline] high s = Int64.to_int (Int64.shift_right_logical s 32)
+let[@inline] low s = Int64.to_int (Int64.logand s 0xFFFF_FFFFL)
+let[@inline] of_state s = { hi = high s; lo = low s }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] next t =
+  let s =
+    Int64.add
+      (Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo))
+      golden_gamma
+  in
+  t.hi <- high s;
+  t.lo <- low s;
+  mix64 s
+
+let bits64 t = next t
+let split t = of_state (next t)
+let copy t = { hi = t.hi; lo = t.lo }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Take the top bits; modulo bias is negligible for simulation bounds
      (bound << 2^62) but we mask to non-negative first. *)
-  let v = Int64.to_int (bits64 t) land max_int in
+  let v = Int64.to_int (next t) land max_int in
   v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (v /. 9007199254740992.0 (* 2^53 *))
+(* Uniform in [0, 1): the top 53 bits over 2^53. *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11)
+  /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let float t bound = bound *. unit_float t
+
+let float_trunc t bound = int_of_float (float_of_int bound *. unit_float t)
+
+let bool t = Int64.compare (Int64.logand (next t) 1L) 0L <> 0
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";

@@ -30,6 +30,12 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val float_trunc : t -> int -> int
+(** [float_trunc t bound] is [int_of_float (float t (float_of_int
+    bound))]: the same draw, consuming the same state, truncated to an
+    int. Unlike [float] it allocates nothing, so hot paths that only
+    need a truncated uniform (per-packet link jitter) use it. *)
+
 val bool : t -> bool
 
 val exponential : t -> mean:float -> float

@@ -46,8 +46,11 @@ let ( < ) : t -> t -> bool = Stdlib.( < )
 let ( <= ) : t -> t -> bool = Stdlib.( <= )
 let ( > ) : t -> t -> bool = Stdlib.( > )
 let ( >= ) : t -> t -> bool = Stdlib.( >= )
-let min : t -> t -> t = Stdlib.min
-let max : t -> t -> t = Stdlib.max
+(* Not [Stdlib.min]/[max]: those are polymorphic, so every call would
+   go through [caml_lessequal]/[caml_greaterequal] in C. Same results
+   on ints, including which argument wins a tie. *)
+let min (a : t) b = if Stdlib.( <= ) a b then a else b
+let max (a : t) b = if Stdlib.( >= ) a b then a else b
 
 let pp ppf t =
   let ns = float_of_int t in

@@ -161,18 +161,20 @@ let clamp_slot t =
   let top = levels - 1 in
   (top * slots_per_level) + ((index_at top t.cursor + slot_mask) land slot_mask)
 
+(* Smallest level at or above [l] whose full span still contains
+   [delta] (the span of level [l] is the width of level [l+1]); -1
+   beyond the top level. Top-level, not a local closure over [delta]:
+   a closure would be allocated on every arm. *)
+let rec find_level delta l =
+  if l >= levels then -1
+  else if delta < width_of_level (l + 1) then l
+  else find_level delta (l + 1)
+
 let schedule t e =
   let delta = e.time - t.cursor in
   if delta < width_of_level 0 then false
   else begin
-    (* Smallest level whose full span still contains [delta]; the span
-       of level [l] is the width of level [l+1]. *)
-    let rec find_level l =
-      if l >= levels then -1
-      else if delta < width_of_level (l + 1) then l
-      else find_level (l + 1)
-    in
-    let l = find_level 0 in
+    let l = find_level delta 0 in
     let flat =
       if l < 0 then
         (* Beyond the wheel's span: park in the farthest top-level slot
@@ -236,18 +238,20 @@ let next_due_ns t =
   done;
   !best
 
-let drain_slot t l idx ~emit ~reinsert =
+(* Empty slot [idx] of level [l]. Level-0 entries are due: emit them.
+   Higher-level entries cascade: re-insert each one, which lands it in
+   a lower level, or emit it when it is now within one level-0 slot. *)
+let drain_slot t l idx ~emit =
   let head = t.heads.((l * slots_per_level) + idx) in
   while head.next != head do
     let e = head.next in
     unlink e;
     e.slot <- -1;
     t.live <- t.live - 1;
-    if l = 0 then begin
+    if l = 0 || not (schedule t e) then begin
       e.state <- st_idle;
       emit e
     end
-    else reinsert e
   done;
   t.occupied.(l) <- t.occupied.(l) land lnot (1 lsl idx)
 
@@ -257,7 +261,6 @@ let drain_slot t l idx ~emit ~reinsert =
    emitted directly when it is within one level-0 slot). *)
 let advance t ~upto ~emit =
   t.gen <- t.gen + 1;
-  let reinsert e = if not (schedule t e) then (e.state <- st_idle; emit e) in
   let continue = ref true in
   while !continue do
     let due = next_due_ns t in
@@ -274,7 +277,7 @@ let advance t ~upto ~emit =
       for l = levels - 1 downto 0 do
         let idx = index_at l t.cursor in
         if t.occupied.(l) land (1 lsl idx) <> 0 then
-          drain_slot t l idx ~emit ~reinsert
+          drain_slot t l idx ~emit
       done
     end
   done

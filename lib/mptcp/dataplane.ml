@@ -22,14 +22,14 @@ let create ~sched ~size ~on_complete =
     on_complete;
   }
 
-let pull t ~max =
+let pull t (c : Sim_tcp.Tcp_tx.chunk) ~max =
   if max <= 0 then invalid_arg "Dataplane.pull: max must be positive";
-  if t.next_dsn >= t.size then None
+  if t.next_dsn >= t.size then false
   else begin
-    let len = min max (t.size - t.next_dsn) in
-    let dsn = t.next_dsn in
-    t.next_dsn <- t.next_dsn + len;
-    Some (dsn, len)
+    c.dsn <- t.next_dsn;
+    c.len <- min max (t.size - t.next_dsn);
+    t.next_dsn <- t.next_dsn + c.len;
+    true
   end
 
 let assigned t = t.next_dsn

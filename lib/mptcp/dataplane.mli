@@ -15,8 +15,10 @@ val create :
 
 (** {1 Sender side} *)
 
-val pull : t -> max:int -> (int * int) option
-(** Allocate the next [(dsn, len)] chunk, [len <= max]. *)
+val pull : t -> Sim_tcp.Tcp_tx.chunk -> max:int -> bool
+(** Allocate the next chunk, [0 < len <= max], into the caller's
+    [chunk]; [false] (chunk untouched) once everything is allocated.
+    The signature of a {!Sim_tcp.Tcp_tx.source}'s [pull]. *)
 
 val assigned : t -> int
 (** Bytes allocated to subflows so far. *)

@@ -1,31 +1,43 @@
 module Cong = Sim_tcp.Cong
-module Time = Sim_engine.Sim_time
 
-type group = { mutable windows : Cong.window list }
+(* The group's windows in attach order, plus scratch arrays that each
+   ACK refills with the windows and RTTs, most-recently-attached first
+   (the order the coupled sums have always run in, so every float
+   result is unchanged). Scratch is sized at attach time, so the
+   per-ACK path allocates nothing. *)
+type group = {
+  mutable windows : Cong.window array;
+  mutable cwnds : float array;
+  mutable rtts : float array;
+}
 
-let make_group () = { windows = [] }
+let make_group () = { windows = [||]; cwnds = [||]; rtts = [||] }
 
-let subflow_count g = List.length g.windows
+let subflow_count g = Array.length g.windows
 
 (* RTT fallback before the first sample; only influences the very first
    increases of a subflow. *)
 let default_rtt_s = 1e-3
 
-let rtt_s (w : Cong.window) =
-  match w.Cong.srtt () with
-  | Some t -> Float.max 1e-6 (Time.to_sec t)
-  | None -> default_rtt_s
+(* Inlined: it returns a float. *)
+let[@inline] rtt_s (w : Cong.window) =
+  let ns = Sim_tcp.Rtt_estimator.srtt_ns w.Cong.rtt in
+  if ns < 0 then default_rtt_s else Float.max 1e-6 (float_of_int ns /. 1e9)
 
 (* Pure RFC 6356 coupling factor over parallel window/RTT arrays. The
    packet-level [alpha] below and the fluid engine's rate model both
    evaluate this one formula, so the coupling semantics cannot drift
-   between the two transport models. *)
-let alpha_formula ~cwnds ~rtts =
+   between the two transport models. Loops rather than folds, and
+   inlined into the per-ACK path, so no float is boxed. *)
+let[@inline] alpha_formula ~cwnds ~rtts =
   let n = Array.length cwnds in
   if n = 0 || n <> Array.length rtts then 1.
   else begin
-    let total = Array.fold_left ( +. ) 0. cwnds in
-    if total <= 0. then 1.
+    let total = ref 0. in
+    for i = 0 to n - 1 do
+      total := !total +. cwnds.(i)
+    done;
+    if !total <= 0. then 1.
     else begin
       let best = ref 0. and denom = ref 0. in
       for i = 0 to n - 1 do
@@ -33,9 +45,18 @@ let alpha_formula ~cwnds ~rtts =
         best := Float.max !best (cwnds.(i) /. (r *. r));
         denom := !denom +. (cwnds.(i) /. r)
       done;
-      if !denom <= 0. then 1. else total *. !best /. (!denom *. !denom)
+      if !denom <= 0. then 1. else !total *. !best /. (!denom *. !denom)
     end
   end
+
+(* Refill the scratch arrays, most-recently-attached first. *)
+let fill g =
+  let n = Array.length g.windows in
+  for i = 0 to n - 1 do
+    let w = g.windows.(n - 1 - i) in
+    g.cwnds.(i) <- w.Cong.win.Cong.cwnd;
+    g.rtts.(i) <- rtt_s w
+  done
 
 (* Equilibrium rate split of a LIA-coupled connection, for the fluid
    model. With equal loss rates across paths the coupled increase
@@ -56,32 +77,32 @@ let fluid_weights ~rtts =
   end
 
 let alpha g =
-  match g.windows with
-  | [] -> 1.
-  | windows ->
-    let cwnds =
-      Array.of_list (List.map (fun w -> w.Cong.get_cwnd ()) windows)
-    in
-    let rtts = Array.of_list (List.map rtt_s windows) in
-    alpha_formula ~cwnds ~rtts
+  fill g;
+  alpha_formula ~cwnds:g.cwnds ~rtts:g.rtts
 
 let attach g (w : Cong.window) =
-  g.windows <- w :: g.windows;
+  g.windows <- Array.append g.windows [| w |];
+  let n = Array.length g.windows in
+  g.cwnds <- Array.make n 0.;
+  g.rtts <- Array.make n 0.;
+  let win = w.Cong.win in
   let on_ack ~acked ~ece:_ =
-    if w.Cong.get_cwnd () < w.Cong.get_ssthresh () then
-      Cong.slow_start_increase w ~acked
+    if win.Cong.cwnd < win.Cong.ssthresh then Cong.slow_start_increase w ~acked
     else begin
-      let total =
-        List.fold_left (fun acc w' -> acc +. w'.Cong.get_cwnd ()) 0. g.windows
-      in
-      let a = alpha g in
+      fill g;
+      let total = ref 0. in
+      for i = 0 to Array.length g.cwnds - 1 do
+        total := !total +. g.cwnds.(i)
+      done;
+      let a = alpha_formula ~cwnds:g.cwnds ~rtts:g.rtts in
       let mss = float_of_int w.Cong.mss in
       let acked_f = float_of_int acked in
-      let coupled = a *. acked_f *. mss /. Float.max total mss in
-      let uncoupled = acked_f *. mss /. Float.max (w.Cong.get_cwnd ()) mss in
+      let coupled = a *. acked_f *. mss /. Float.max !total mss in
+      let uncoupled = acked_f *. mss /. Float.max win.Cong.cwnd mss in
       let inc = Float.min coupled uncoupled in
-      (* Same per-ACK cap as byte-counted AIMD. *)
-      w.Cong.set_cwnd (w.Cong.get_cwnd () +. Float.min inc mss)
+      (* Same per-ACK cap as byte-counted AIMD, then the one-segment
+         floor every controller keeps. *)
+      win.Cong.cwnd <- Float.max (win.Cong.cwnd +. Float.min inc mss) mss
     end
   in
   { Cong.name = "lia"; on_ack; on_loss = Cong.reno_on_loss w; gauges = [] }

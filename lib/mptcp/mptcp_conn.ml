@@ -55,7 +55,7 @@ let start ~src ~dst ~size ~subflows ?(params = Sim_tcp.Tcp_params.default)
    end);
   let source =
     {
-      Tcp_tx.pull = (fun ~max -> Dataplane.pull t.plane ~max);
+      Tcp_tx.pull = (fun c ~max -> Dataplane.pull t.plane c ~max);
       has_more = (fun () -> Dataplane.unassigned t.plane);
     }
   in

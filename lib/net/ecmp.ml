@@ -1,13 +1,17 @@
 (* SplitMix64-style finaliser over the packed 5-tuple. Cheap, and good
-   enough avalanche behaviour that per-switch salts decorrelate. *)
+   enough avalanche behaviour that per-switch salts decorrelate.
 
-let mix64 z =
+   [mix64] and [hash_fields] are inlined into [select] and [flow_hash]
+   so the whole hash runs on unboxed [int64] locals: a call that
+   returned an [int64] would box it, on every switch hop. *)
+
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let hash_fields ~src ~dst ~sport ~dport ~salt =
+let[@inline] hash_fields ~src ~dst ~sport ~dport ~salt =
   let open Int64 in
   let a = of_int ((src lsl 20) lxor dst) in
   let b = of_int ((sport lsl 16) lxor dport) in

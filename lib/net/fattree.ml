@@ -114,31 +114,33 @@ let create ~sched p =
             l))
   in
 
-  (* Routing. *)
-  let pos addr = position p addr in
+  (* Routing. Each hop computes the destination's pod, edge and index
+     inline ([position]'s arithmetic): a tuple per switch hop would
+     allocate on every forwarded packet. *)
+  let hpp = hosts_per_pod p in
   for pd = 0 to pods - 1 do
     for e = 0 to half - 1 do
       let sw = edge.(pd).(e) in
       let salt = Switch.id sw in
       Switch.set_route sw (fun pkt ->
-          let dpd, de, di = pos pkt.Packet.dst in
-          if dpd = pd && de = e then edge_down.(pd).(e).(di)
+          let h = Addr.to_int pkt.Packet.dst in
+          let rem = h mod hpp in
+          if h / hpp = pd && rem / hpe = e then edge_down.(pd).(e).(rem mod hpe)
           else edge_up.(pd).(e).(Ecmp.select pkt ~salt ~n:half))
     done;
     for a = 0 to half - 1 do
       let sw = agg.(pd).(a) in
       let salt = Switch.id sw in
       Switch.set_route sw (fun pkt ->
-          let dpd, de, _ = pos pkt.Packet.dst in
-          if dpd = pd then agg_down.(pd).(a).(de)
+          let h = Addr.to_int pkt.Packet.dst in
+          if h / hpp = pd then agg_down.(pd).(a).(h mod hpp / hpe)
           else agg_up.(pd).(a).(Ecmp.select pkt ~salt ~n:half))
     done
   done;
   Array.iteri
     (fun c sw ->
       Switch.set_route sw (fun pkt ->
-          let dpd, _, _ = pos pkt.Packet.dst in
-          core_down.(c).(dpd)))
+          core_down.(c).(Addr.to_int pkt.Packet.dst / hpp)))
     core;
 
   let switches =

@@ -27,9 +27,11 @@ let send t pkt =
    read it (handlers must not retain packets), the record goes back to
    the simulation's pool. *)
 let receive t pkt =
-  (match Hashtbl.find_opt t.demux pkt.Packet.conn with
-   | Some handler -> handler pkt
-   | None -> t.unmatched <- t.unmatched + 1);
+  (* [find] with a [Not_found] case rather than [find_opt]: no option
+     per received packet. *)
+  (match Hashtbl.find t.demux pkt.Packet.conn with
+   | handler -> handler pkt
+   | exception Not_found -> t.unmatched <- t.unmatched + 1);
   Packet.free ~ctx:(Sim_engine.Scheduler.ctx t.sched) pkt
 
 let bind t ~conn handler =

@@ -108,7 +108,11 @@ let create ~sched p =
             l))
   in
 
-  let pos addr = position p addr in
+  (* Destination pod and edge are computed inline, and the down-link
+     table is probed with [Hashtbl.find]: a [position] tuple or a
+     [find_opt] option per hop would allocate on every forwarded
+     packet. *)
+  let hpp = hosts_per_pod p and hpe = hosts_per_edge p in
   for pd = 0 to pods - 1 do
     for e = 0 to half - 1 do
       let sw = edge.(pd).(e) in
@@ -116,16 +120,17 @@ let create ~sched p =
       let down_tbl = edge_host_down.(pd).(e) in
       Switch.set_route sw (fun pkt ->
           let d = Addr.to_int pkt.Packet.dst in
-          match Hashtbl.find_opt down_tbl d with
-          | Some l -> l
-          | None -> edge_up.(pd).(e).(Ecmp.select pkt ~salt ~n:half))
+          match Hashtbl.find down_tbl d with
+          | l -> l
+          | exception Not_found -> edge_up.(pd).(e).(Ecmp.select pkt ~salt ~n:half))
     done;
     for a = 0 to half - 1 do
       let sw = agg.(pd).(a) in
       let salt = Switch.id sw in
       Switch.set_route sw (fun pkt ->
-          let dpd, de, _ = pos pkt.Packet.dst in
-          if dpd = pd then begin
+          let h = Addr.to_int pkt.Packet.dst in
+          if h / hpp = pd then begin
+            let de = h mod hpp / hpe in
             (* Two candidate edges serve the destination host. *)
             let e1 = de and e2 = (de + 1) mod half in
             let e = if Ecmp.select pkt ~salt:(salt + 7919) ~n:2 = 0 then e1 else e2 in
@@ -137,8 +142,7 @@ let create ~sched p =
   Array.iteri
     (fun c sw ->
       Switch.set_route sw (fun pkt ->
-          let dpd, _, _ = pos pkt.Packet.dst in
-          core_down.(c).(dpd)))
+          core_down.(c).(Addr.to_int pkt.Packet.dst / hpp)))
     core;
 
   let switches =

@@ -16,8 +16,21 @@ type red = {
 
 let default_red = { min_th = 5; max_th = 15; max_p = 0.1; weight = 0.002; mark = false }
 
+(* The FIFO is a fixed ring of [cap] slots: [len] packets starting at
+   [head], wrapping. A packet costs no allocation on the way in or out
+   (a stdlib [Queue] cell per packet plus an option per dequeue was
+   10% of a packet run's words). The ring is allocated on the first
+   enqueue, filled with that packet, so the thousands of queues a
+   topology build creates allocate nothing until traffic reaches them.
+   Slots outside [head, head + len) keep stale pointers to packets the
+   queue has handed on, exactly as freed Event pool slots keep stale
+   cells: the pool owns those records for the simulation's lifetime,
+   so the ring pins nothing that was not pinned already, and no slot
+   outside the live window is ever read. *)
 type t = {
-  q : Packet.t Queue.t;
+  mutable ring : Packet.t array;  (* [||] until the first enqueue, then [cap] slots *)
+  mutable head : int;
+  mutable len : int;
   ctx : Sim_engine.Sim_ctx.t;
   cap : int;
   ecn_threshold : int option;
@@ -49,7 +62,9 @@ let create ?ecn_threshold ?red ~ctx ~capacity ~layer () =
   let qname = Printf.sprintf "q%d.%s" queue_id (Layer.to_string layer) in
   let t =
     {
-      q = Queue.create ();
+      ring = [||];
+      head = 0;
+      len = 0;
       ctx;
       cap = capacity;
       ecn_threshold = (if red = None then ecn_threshold else None);
@@ -70,7 +85,7 @@ let create ?ecn_threshold ?red ~ctx ~capacity ~layer () =
        Sim_obs.Metrics.register m ~component:"pktqueue" ~id:qname ~name ~units
          read
      in
-     reg "depth_pkts" "pkts" (fun () -> float_of_int (Queue.length t.q));
+     reg "depth_pkts" "pkts" (fun () -> float_of_int t.len);
      reg "depth_bytes" "bytes" (fun () -> float_of_int t.backlog_bytes);
      reg "drops" "pkts" (fun () -> float_of_int t.st.dropped);
      reg "ecn_marks" "pkts" (fun () -> float_of_int t.st.marked)
@@ -86,7 +101,7 @@ let red_average t = t.red_avg
 let red_verdict t r =
   t.red_avg <-
     ((1. -. r.weight) *. t.red_avg)
-    +. (r.weight *. float_of_int (Queue.length t.q));
+    +. (r.weight *. float_of_int t.len);
   if t.red_avg < float_of_int r.min_th then `Accept
   else if t.red_avg >= float_of_int r.max_th then
     if r.mark then `Mark else `Drop
@@ -101,9 +116,9 @@ let red_verdict t r =
     else `Accept
   end
 
-let backlog_pkts t = Queue.length t.q
+let backlog_pkts t = t.len
 let backlog_bytes t = t.backlog_bytes
-let is_empty t = Queue.is_empty t.q
+let is_empty t = t.len = 0
 let capacity t = t.cap
 let layer t = t.lay
 let stats t = t.st
@@ -112,7 +127,7 @@ let enqueue t pkt =
   let red_decision =
     match t.red with Some r -> red_verdict t r | None -> `Accept
   in
-  if Queue.length t.q >= t.cap || red_decision = `Drop then begin
+  if t.len >= t.cap || red_decision = `Drop then begin
     t.st.dropped <- t.st.dropped + 1;
     (match t.m with
      | Some m ->
@@ -137,21 +152,25 @@ let enqueue t pkt =
       t.st.marked <- t.st.marked + 1
     end;
     (match t.ecn_threshold with
-     | Some k when Queue.length t.q >= k ->
+     | Some k when t.len >= k ->
        pkt.Packet.ce <- true;
        t.st.marked <- t.st.marked + 1
      | Some _ | None -> ());
-    Queue.push pkt t.q;
+    if Array.length t.ring = 0 then t.ring <- Array.make t.cap pkt;
+    let tail = t.head + t.len in
+    t.ring.(if tail >= t.cap then tail - t.cap else tail) <- pkt;
+    t.len <- t.len + 1;
     t.backlog_bytes <- t.backlog_bytes + pkt.Packet.size;
     t.st.enqueued <- t.st.enqueued + 1;
     t.st.bytes_enqueued <- t.st.bytes_enqueued + pkt.Packet.size;
-    if Queue.length t.q > t.st.max_backlog then t.st.max_backlog <- Queue.length t.q;
+    if t.len > t.st.max_backlog then t.st.max_backlog <- t.len;
     true
   end
 
-let dequeue t =
-  match Queue.take_opt t.q with
-  | None -> None
-  | Some pkt ->
-    t.backlog_bytes <- t.backlog_bytes - pkt.Packet.size;
-    Some pkt
+let take t =
+  if t.len = 0 then invalid_arg "Pktqueue.take: empty queue";
+  let pkt = t.ring.(t.head) in
+  t.head <- (if t.head + 1 = t.cap then 0 else t.head + 1);
+  t.len <- t.len - 1;
+  t.backlog_bytes <- t.backlog_bytes - pkt.Packet.size;
+  pkt

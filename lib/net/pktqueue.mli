@@ -41,7 +41,8 @@ val create :
   layer:Layer.t ->
   unit ->
   t
-(** [capacity] in packets; [ecn_threshold] in packets (step marking at
+(** [capacity] in packets; the queue reserves that many slots on its
+    first enqueue. [ecn_threshold] in packets (step marking at
     a fixed backlog, the DCTCP style); [red] enables RED early
     drop/marking instead. The two are exclusive; [red] wins if both are
     given. [ctx] is the owning simulation's identifier state: queues
@@ -69,7 +70,11 @@ val add_drop_hook : t -> (Packet.t -> unit) -> unit
     turns a violation into [Invalid_argument]; simlint rule D007
     rejects it statically. *)
 
-val dequeue : t -> Packet.t option
+val take : t -> Packet.t
+(** Remove and return the packet at the head of the queue, handing its
+    ownership to the caller. Raises [Invalid_argument] when the queue
+    is empty: check {!is_empty} first. *)
+
 val backlog_pkts : t -> int
 val backlog_bytes : t -> int
 val is_empty : t -> bool

@@ -118,9 +118,9 @@ let create ~sched p =
       Switch.set_route sw (fun pkt ->
           let d = Addr.to_int pkt.Packet.dst in
           let dt = tor_of_host d in
-          match Hashtbl.find_opt agg_down_to_tor.(a) dt with
-          | Some l -> l
-          | None -> agg_up.(a).(Ecmp.select pkt ~salt ~n:p.intermediates)))
+          match Hashtbl.find agg_down_to_tor.(a) dt with
+          | l -> l
+          | exception Not_found -> agg_up.(a).(Ecmp.select pkt ~salt ~n:p.intermediates)))
     agg;
   Array.iteri
     (fun i sw ->
@@ -128,7 +128,8 @@ let create ~sched p =
       Switch.set_route sw (fun pkt ->
           let d = Addr.to_int pkt.Packet.dst in
           let dt = tor_of_host d in
-          let a1, a2 = aggs_of_tor p dt in
+          (* [aggs_of_tor] inline: no tuple per forwarded packet. *)
+          let a1 = dt mod p.aggs and a2 = (dt + 1) mod p.aggs in
           let a =
             if a1 = a2 then a1
             else if Ecmp.select pkt ~salt:(salt + 31) ~n:2 = 0 then a1

@@ -1,11 +1,10 @@
+type win = { mutable cwnd : float; mutable ssthresh : float }
+
 type window = {
-  get_cwnd : unit -> float;
-  set_cwnd : float -> unit;
-  get_ssthresh : unit -> float;
-  set_ssthresh : float -> unit;
-  flight : unit -> int;
+  win : win;
   mss : int;
-  srtt : unit -> Sim_engine.Sim_time.t option;
+  flight : unit -> int;
+  rtt : Rtt_estimator.t;
 }
 
 type loss_kind = Fast_retransmit | Timeout
@@ -19,29 +18,32 @@ type t = {
 
 let gauge t key = Option.map (fun f -> f ()) (List.assoc_opt key t.gauges)
 
+(* The window never shrinks below one segment. *)
+let[@inline] set_cwnd w c = w.win.cwnd <- Float.max c (float_of_int w.mss)
+
 let reno_on_loss w kind =
   let mss = float_of_int w.mss in
   (* RFC 5681 FlightSize, clamped to cwnd: NewReno window inflation can
      leave more data outstanding than cwnd, and halving from that
      inflated figure would let ssthresh ratchet upwards across
      consecutive recoveries. *)
-  let flight = Float.min (float_of_int (w.flight ())) (w.get_cwnd ()) in
+  let flight = Float.min (float_of_int (w.flight ())) w.win.cwnd in
   let ssthresh = Float.max (flight /. 2.) (2. *. mss) in
-  w.set_ssthresh ssthresh;
+  w.win.ssthresh <- ssthresh;
   match kind with
-  | Fast_retransmit -> w.set_cwnd ssthresh
-  | Timeout -> w.set_cwnd mss
+  | Fast_retransmit -> set_cwnd w ssthresh
+  | Timeout -> set_cwnd w mss
 
 (* Byte-counted slow start without a per-ACK cap: a cumulative ACK
    covering n segments grows cwnd by n segments, exactly like
    per-segment ACKing would. Capping at one MSS per ACK would stall
    senders whose ACK stream is aggregated by reordering — which is the
    normal regime for the packet-scatter phase. *)
-let slow_start_increase w ~acked = w.set_cwnd (w.get_cwnd () +. float_of_int acked)
+let slow_start_increase w ~acked = set_cwnd w (w.win.cwnd +. float_of_int acked)
 
 let congestion_avoidance_increase w ~acked =
   let mss = float_of_int w.mss in
-  let cwnd = w.get_cwnd () in
+  let cwnd = w.win.cwnd in
   let inc = mss *. mss /. cwnd *. (float_of_int acked /. mss) in
   (* Cap the per-ACK increase at one MSS, as byte-counted AIMD does. *)
-  w.set_cwnd (cwnd +. Float.min inc mss)
+  set_cwnd w (cwnd +. Float.min inc mss)

@@ -1,20 +1,29 @@
 (** Pluggable congestion control.
 
-    The sender exposes a {!window} view of its mutable state; a
+    The sender exposes a {!window} view of its state; a
     congestion-control algorithm is a record of callbacks over that
     view. This indirection is what lets MPTCP's Linked-Increase
     algorithm couple the windows of several subflows: the MPTCP
     connection builds one {!t} per subflow whose callbacks read every
     subflow's window. *)
 
+type win = {
+  mutable cwnd : float;  (** congestion window, bytes *)
+  mutable ssthresh : float;  (** slow-start threshold, bytes *)
+}
+(** The sender's window sizes. An all-float record, so OCaml stores
+    both fields flat: controllers read and write them directly, and no
+    store allocates (a float field of a mixed record, or a getter and
+    setter closure pair, would box every value). The sender owns it
+    and shares it with its controller. Controllers never set [cwnd]
+    below one [mss]; those outside this module write the clamp inline,
+    because a float passed to a function in another module is boxed. *)
+
 type window = {
-  get_cwnd : unit -> float;  (** congestion window, bytes *)
-  set_cwnd : float -> unit;
-  get_ssthresh : unit -> float;  (** slow-start threshold, bytes *)
-  set_ssthresh : float -> unit;
-  flight : unit -> int;  (** unacknowledged bytes *)
+  win : win;
   mss : int;
-  srtt : unit -> Sim_engine.Sim_time.t option;  (** smoothed RTT *)
+  flight : unit -> int;  (** unacknowledged bytes *)
+  rtt : Rtt_estimator.t;  (** the subflow's RTT estimator *)
 }
 
 type loss_kind = Fast_retransmit | Timeout

@@ -1,127 +1,101 @@
-(* A sorted set of disjoint, non-adjacent [start, stop) ranges. The
-   receive path keeps the prefix merged into the head range, so sets
-   stay short (bounded by the number of concurrent reorder holes).
+(* A sorted set of disjoint, non-adjacent [start, stop) ranges, stored
+   as parallel growable int arrays: span [i] is [starts.(i), stops.(i))
+   for [i < n], in ascending order. The receive path keeps the prefix
+   merged into span 0, so sets stay short (bounded by the number of
+   concurrent reorder holes).
 
-   The head range lives in two mutable int fields rather than at the
-   front of the list: the overwhelmingly common add — an in-order
-   segment extending the merged prefix — then mutates [hi] in place
-   instead of rebuilding a cons + tuple per segment (the receive path
-   does one add per data segment at subflow level and the multipath
-   layer a second at data level, so this was a per-segment allocation,
-   twice). [rest] holds the spans strictly after the head; the set is
-   empty iff [hi <= lo], and [rest] is non-empty only when a head
-   exists (the head is always the first span). *)
+   Adding a range edits the arrays in place — extend a span, merge a
+   run of spans, or open a gap and insert — so once the arrays have
+   grown to the peak number of holes an add allocates nothing. The
+   receive path adds once per data segment at subflow level, and the
+   multipath layer once more at data level, where 8 reordering
+   subflows keep several spans open. *)
 
 type t = {
-  mutable lo : int;  (* head span [lo, hi); empty set iff hi <= lo *)
-  mutable hi : int;
-  mutable rest : (int * int) list;  (* spans after the head; sorted, disjoint, non-adjacent *)
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable n : int;
   mutable total : int;
 }
 
-let create () = { lo = 0; hi = 0; rest = []; total = 0 }
+let create () = { starts = [||]; stops = [||]; n = 0; total = 0 }
 
 let total t = t.total
 
-let has_head t = t.hi > t.lo
+let grow t =
+  let cap = Int.max 4 (2 * Array.length t.starts) in
+  let starts = Array.make cap 0 and stops = Array.make cap 0 in
+  Array.blit t.starts 0 starts 0 t.n;
+  Array.blit t.stops 0 stops 0 t.n;
+  t.starts <- starts;
+  t.stops <- stops
 
-let to_spans t = if has_head t then (t.lo, t.hi) :: t.rest else t.rest
-
-let set_spans t = function
-  | [] ->
-    t.lo <- 0;
-    t.hi <- 0;
-    t.rest <- []
-  | (s, e) :: rest ->
-    t.lo <- s;
-    t.hi <- e;
-    t.rest <- rest
-
-(* General insert: walk the spans, accumulating ranges before the
-   insertion point, merging every range that overlaps or touches
-   [start, stop). Only reached on out-of-order arrivals and
-   hole-filling retransmissions. *)
-let add_slow t ~start ~stop =
-  let rec go acc s e covered = function
-    | [] -> (List.rev ((s, e) :: acc), covered)
-    | (rs, re) :: rest ->
-      if re < s then go ((rs, re) :: acc) s e covered rest
-      else if rs > e then (List.rev_append acc ((s, e) :: (rs, re) :: rest), covered)
-      else begin
-        (* Overlap or adjacency: merge, and count the overlap. *)
-        let overlap = max 0 (min e re - max s rs) in
-        go acc (min s rs) (max e re) (covered + overlap) rest
-      end
-  in
-  let spans, covered = go [] start stop 0 (to_spans t) in
-  let added = stop - start - covered in
-  set_spans t spans;
-  t.total <- t.total + added;
-  added
+(* Replace spans [i, j) (possibly none, i = j) by the single span
+   [s, e), shifting the spans from [j] on. *)
+let splice t i j s e =
+  let shift = 1 - (j - i) in
+  if shift > 0 && t.n = Array.length t.starts then grow t;
+  if shift <> 0 then begin
+    Array.blit t.starts j t.starts (j + shift) (t.n - j);
+    Array.blit t.stops j t.stops (j + shift) (t.n - j)
+  end;
+  t.starts.(i) <- s;
+  t.stops.(i) <- e;
+  t.n <- t.n + shift
 
 let add t ~start ~stop =
   if stop < start then invalid_arg "Intervals.add: stop < start";
   if stop = start then 0
-  else if not (has_head t) then begin
-    (* First span: becomes the head. *)
-    t.lo <- start;
-    t.hi <- stop;
-    t.total <- t.total + (stop - start);
-    stop - start
+  else begin
+    (* Skip the spans that end strictly before [start] (a span ending
+       exactly at [start] touches it and merges). *)
+    let i = ref 0 in
+    while !i < t.n && t.stops.(!i) < start do
+      incr i
+    done;
+    (* Merge every span that overlaps or touches [s, e), widening it
+       as spans join; count the bytes already covered. *)
+    let s = ref start and e = ref stop and covered = ref 0 in
+    let j = ref !i in
+    while !j < t.n && t.starts.(!j) <= !e do
+      let rs = t.starts.(!j) and re = t.stops.(!j) in
+      covered := !covered + Int.max 0 (Int.min !e re - Int.max !s rs);
+      s := Int.min !s rs;
+      e := Int.max !e re;
+      incr j
+    done;
+    splice t !i !j !s !e;
+    let added = stop - start - !covered in
+    t.total <- t.total + added;
+    added
   end
-  else if t.lo <= start && start <= t.hi then
-    (* Overlaps or touches the head. Extend it in place unless the new
-       range reaches the next span (then the two must merge). *)
-    if stop <= t.hi then 0
-    else begin
-      match t.rest with
-      | (ns, _) :: _ when stop >= ns -> add_slow t ~start ~stop
-      | _ ->
-        let added = stop - t.hi in
-        t.hi <- stop;
-        t.total <- t.total + added;
-        added
-    end
-  else add_slow t ~start ~stop
 
-let contiguous_from t x =
-  let rec find = function
-    | [] -> x
-    | (s, e) :: rest ->
-      if s <= x && x < e then e
-      else if s > x then x
-      else find rest
-  in
-  if not (has_head t) || x < t.lo then x
-  else if x < t.hi then t.hi (* non-adjacency: coverage stops at the head's end *)
-  else find t.rest
+(* Top-level walks, not local closures over [x] or the range: those
+   would be allocated on every call. *)
+let rec contiguous_at t x i =
+  if i >= t.n then x
+  else if t.starts.(i) <= x && x < t.stops.(i) then t.stops.(i)
+  else if t.starts.(i) > x then x
+  else contiguous_at t x (i + 1)
 
-let is_covered t ~start ~stop =
-  if stop <= start then true
-  else if has_head t && t.lo <= start && stop <= t.hi then true
-  else List.exists (fun (s, e) -> s <= start && stop <= e) t.rest
+let contiguous_from t x = contiguous_at t x 0
 
-let spans t = to_spans t
-let span_count t = (if has_head t then 1 else 0) + List.length t.rest
+let rec covered_at t ~start ~stop i =
+  i < t.n
+  && ((t.starts.(i) <= start && stop <= t.stops.(i)) || covered_at t ~start ~stop (i + 1))
+
+let is_covered t ~start ~stop = stop <= start || covered_at t ~start ~stop 0
+
+let spans t = List.init t.n (fun i -> (t.starts.(i), t.stops.(i)))
+let span_count t = t.n
 
 let fill_above t ~above ~max_blocks ~dst =
-  let rec go i = function
-    | [] -> i
-    | (s, e) :: rest ->
-      if i >= max_blocks then i
-      else if s > above then begin
-        dst.(2 * i) <- s;
-        dst.((2 * i) + 1) <- e;
-        go (i + 1) rest
-      end
-      else go i rest
-  in
-  let i =
-    if has_head t && max_blocks > 0 && t.lo > above then begin
-      dst.(0) <- t.lo;
-      dst.(1) <- t.hi;
-      1
+  let k = ref 0 in
+  for i = 0 to t.n - 1 do
+    if !k < max_blocks && t.starts.(i) > above then begin
+      dst.(2 * !k) <- t.starts.(i);
+      dst.((2 * !k) + 1) <- t.stops.(i);
+      incr k
     end
-    else 0
-  in
-  go i t.rest
+  done;
+  !k

@@ -1,6 +1,6 @@
 let make (w : Cong.window) =
   let on_ack ~acked ~ece:_ =
-    if w.Cong.get_cwnd () < w.Cong.get_ssthresh () then
+    if w.Cong.win.cwnd < w.Cong.win.ssthresh then
       Cong.slow_start_increase w ~acked
     else Cong.congestion_avoidance_increase w ~acked
   in

@@ -17,6 +17,10 @@ val observe : t -> Time.t -> unit
 val srtt : t -> Time.t option
 (** Smoothed RTT; [None] before the first sample. *)
 
+val srtt_ns : t -> int
+(** [srtt t] in nanoseconds, [-1] before the first sample. The
+    allocation-free read for per-ACK callers. *)
+
 val rttvar : t -> Time.t option
 val rto : t -> Time.t
 (** Current retransmission timeout (before backoff), clamped to

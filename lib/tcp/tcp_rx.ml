@@ -18,7 +18,11 @@ type t = {
   (* Delayed-ACK state. *)
   mutable pending : int;  (* in-order segments not yet acknowledged *)
   mutable pending_ece : bool;
-  mutable reply_ports : (int * int) option;  (* (src, dst) of our ACKs *)
+  (* Ports of our ACKs: the data's (dst, src); -1 until the first SYN or
+     data segment. Two ints, not an option of a pair: they are
+     rewritten on every data segment. *)
+  mutable reply_src : int;
+  mutable reply_dst : int;
   (* Re-armable delayed-ACK timer, allocated on first arm and reused. *)
   mutable delack_timer : Scheduler.Timer.t option;
 }
@@ -37,7 +41,8 @@ let create ?(params = Tcp_params.default) ~host ~peer ~conn ~subflow ~on_data ()
     dup_segments = 0;
     pending = 0;
     pending_ece = false;
-    reply_ports = None;
+    reply_src = -1;
+    reply_dst = -1;
     delack_timer = None;
   }
 
@@ -68,13 +73,17 @@ let emit_ack t ~src_port ~dst_port ~bits =
   Host.send t.host pkt
 
 let flush_ack t ~ece ~dup_seen =
-  match t.reply_ports with
-  | None -> ()
-  | Some (src_port, dst_port) ->
+  if t.reply_src >= 0 then begin
     cancel_delack t;
     t.pending <- 0;
     t.pending_ece <- false;
-    emit_ack t ~src_port ~dst_port ~bits:(Packet.ack_bits ~ece ~dup_seen)
+    emit_ack t ~src_port:t.reply_src ~dst_port:t.reply_dst
+      ~bits:(Packet.ack_bits ~ece ~dup_seen)
+  end
+
+let set_reply_ports t (pkt : Packet.t) =
+  t.reply_src <- pkt.Packet.dst_port;
+  t.reply_dst <- pkt.Packet.src_port
 
 let on_delack_timeout t =
   if t.pending > 0 then flush_ack t ~ece:t.pending_ece ~dup_seen:false
@@ -93,7 +102,7 @@ let arm_delack t =
 let handle t pkt =
   if Packet.syn pkt && not (Packet.ack pkt) then begin
     (* Passive open (or duplicate SYN): always answer. *)
-    t.reply_ports <- Some (pkt.Packet.dst_port, pkt.Packet.src_port);
+    set_reply_ports t pkt;
     emit_ack t ~src_port:pkt.Packet.dst_port ~dst_port:pkt.Packet.src_port
       ~bits:Packet.syn_ack_bits
   end
@@ -106,7 +115,7 @@ let handle t pkt =
     let dup = added = 0 in
     if dup then t.dup_segments <- t.dup_segments + 1;
     t.on_data ~dsn:pkt.Packet.dsn ~len:pkt.Packet.len;
-    t.reply_ports <- Some (pkt.Packet.dst_port, pkt.Packet.src_port);
+    set_reply_ports t pkt;
     let in_order_advance = (not dup) && t.rcv_nxt > before in
     if in_order_advance && Intervals.span_count t.received = 1 then begin
       (* Clean in-order progress: eligible for coalescing. *)

@@ -4,8 +4,10 @@ module Packet = Sim_net.Packet
 module Host = Sim_net.Host
 module Addr = Sim_net.Addr
 
+type chunk = { mutable dsn : int; mutable len : int }
+
 type source = {
-  pull : max:int -> (int * int) option;
+  pull : chunk -> max:int -> bool;
   has_more : unit -> bool;
 }
 
@@ -14,13 +16,13 @@ let fixed_size_source n =
   let next = ref 0 in
   {
     pull =
-      (fun ~max ->
-        if !next >= n then None
+      (fun c ~max ->
+        if !next >= n then false
         else begin
-          let len = min max (n - !next) in
-          let dsn = !next in
-          next := !next + len;
-          Some (dsn, len)
+          c.dsn <- !next;
+          c.len <- min max (n - !next);
+          next := !next + c.len;
+          true
         end);
     has_more = (fun () -> !next < n);
   }
@@ -40,15 +42,97 @@ type state = Closed | Syn_sent | Established | Failed
 
 type recovery = Normal | Fast_recovery | Rto_recovery
 
-type seg = {
-  ssn : int;
-  len : int;
-  dsn : int;
-  mutable sent_at : Time.t;
-  mutable rtx : int;
-  mutable sacked : bool;
-  mutable rtx_rec : bool;  (* retransmitted during the current recovery *)
-}
+(* The unacknowledged segments, oldest first: a ring of parallel int
+   arrays (sequence number, length, DSN, send time, flag bits), so
+   sending, ACKing and SACK-marking a segment allocate nothing (a record
+   plus a stdlib [Queue] cell per segment did).
+   Index [i] is the [i]-th oldest segment. Capacity is a power of two
+   that doubles when full; the arrays are allocated on the first push
+   and dropped once the transfer is fully acknowledged, so a finished
+   connection (kept until the horizon by the flow records) holds no
+   ring. *)
+module Segs = struct
+  let sacked_bit = 1
+  let rtx_bit = 2 (* ever retransmitted: no RTT sample (Karn) *)
+  let rtx_rec_bit = 4 (* retransmitted during the current recovery *)
+
+  type t = {
+    mutable ssn : int array;
+    mutable len : int array;
+    mutable dsn : int array;
+    mutable sent_at : int array;  (* ns *)
+    mutable flags : int array;
+    mutable head : int;
+    mutable count : int;
+  }
+
+  let create () =
+    { ssn = [||]; len = [||]; dsn = [||]; sent_at = [||]; flags = [||];
+      head = 0; count = 0 }
+
+  let length q = q.count
+  let[@inline] slot q i = (q.head + i) land (Array.length q.ssn - 1)
+
+  let grow q =
+    let cap = Array.length q.ssn in
+    let cap' = if cap = 0 then 8 else 2 * cap in
+    let move a =
+      let b = Array.make cap' 0 in
+      for i = 0 to q.count - 1 do
+        b.(i) <- a.((q.head + i) land (cap - 1))
+      done;
+      b
+    in
+    q.ssn <- move q.ssn;
+    q.len <- move q.len;
+    q.dsn <- move q.dsn;
+    q.sent_at <- move q.sent_at;
+    q.flags <- move q.flags;
+    q.head <- 0
+
+  let push q ~ssn ~len ~dsn ~sent_at =
+    if q.count = Array.length q.ssn then grow q;
+    let k = slot q q.count in
+    q.ssn.(k) <- ssn;
+    q.len.(k) <- len;
+    q.dsn.(k) <- dsn;
+    q.sent_at.(k) <- sent_at;
+    q.flags.(k) <- 0;
+    q.count <- q.count + 1
+
+  let release q =
+    q.ssn <- [||];
+    q.len <- [||];
+    q.dsn <- [||];
+    q.sent_at <- [||];
+    q.flags <- [||];
+    q.head <- 0
+
+  let drop_front q =
+    q.head <- slot q 1;
+    q.count <- q.count - 1
+
+  let ssn q i = q.ssn.(slot q i)
+  let len q i = q.len.(slot q i)
+  let dsn q i = q.dsn.(slot q i)
+  let sent_at q i = q.sent_at.(slot q i)
+  let has q i bit = q.flags.(slot q i) land bit <> 0
+
+  let set q i bit =
+    let k = slot q i in
+    q.flags.(k) <- q.flags.(k) lor bit
+
+  let clear_all q bit =
+    for i = 0 to q.count - 1 do
+      let k = slot q i in
+      q.flags.(k) <- q.flags.(k) land lnot bit
+    done
+
+  (* A retransmission of segment [i] at [now]. *)
+  let resent q i ~now =
+    set q i rtx_bit;
+    q.sent_at.(slot q i) <- now
+end
 
 type t = {
   sched : Scheduler.t;
@@ -62,11 +146,11 @@ type t = {
   source : source;
   rtt : Rtt_estimator.t;
   mutable state : state;
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  win : Cong.win;  (* shared with the controller through [window] *)
   mutable snd_una : int;
   mutable snd_nxt : int;
-  segs : seg Queue.t;
+  segs : Segs.t;
+  chunk : chunk;  (* scratch the source writes each pulled chunk into *)
   mutable dup_acks : int;
   mutable recovery : recovery;
   mutable recover_point : int;
@@ -94,25 +178,23 @@ type t = {
 let noop () = ()
 let noop_dsn ~dsn:_ ~len:_ = ()
 
-let window t =
-  {
-    Cong.get_cwnd = (fun () -> t.cwnd);
-    set_cwnd = (fun c -> t.cwnd <- Float.max c (float_of_int t.params.Tcp_params.mss));
-    get_ssthresh = (fun () -> t.ssthresh);
-    set_ssthresh = (fun s -> t.ssthresh <- s);
-    flight = (fun () -> t.snd_nxt - t.snd_una);
-    mss = t.params.Tcp_params.mss;
-    srtt = (fun () -> Rtt_estimator.srtt t.rtt);
-  }
-
 let mss t = t.params.Tcp_params.mss
 let flight t = t.snd_nxt - t.snd_una
 
+let window t =
+  {
+    Cong.win = t.win;
+    mss = mss t;
+    flight = (fun () -> flight t);
+    rtt = t.rtt;
+  }
+
+(* Exponential backoff as an integer shift: the base is well below
+   2^53 ns, so this is exactly what scaling it by the float 2^k gave,
+   without a float crossing into Sim_time. *)
 let current_rto t =
   let base = Rtt_estimator.rto t.rtt in
-  let backed =
-    Time.scale base (Float.of_int (1 lsl min t.backoff 16))
-  in
+  let backed = Time.of_ns (Time.to_ns base lsl Int.min t.backoff 16) in
   Time.min backed t.params.Tcp_params.max_rto
 
 let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
@@ -150,11 +232,16 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
       source;
       rtt = Rtt_estimator.create ~params;
       state = Closed;
-      cwnd = float_of_int (params.Tcp_params.initial_window * params.Tcp_params.mss);
-      ssthresh = Float.max_float /. 4.;
+      win =
+        {
+          Cong.cwnd =
+            float_of_int (params.Tcp_params.initial_window * params.Tcp_params.mss);
+          ssthresh = Float.max_float /. 4.;
+        };
       snd_una = 0;
       snd_nxt = 0;
-      segs = Queue.create ();
+      segs = Segs.create ();
+      chunk = { dsn = 0; len = 0 };
       dup_acks = 0;
       recovery = Normal;
       recover_point = 0;
@@ -193,11 +280,11 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
      let reg name units read =
        Sim_obs.Metrics.register m ~component:"tcp_tx" ~id:mid ~name ~units read
      in
-     reg "cwnd" "bytes" (fun () -> t.cwnd);
+     reg "cwnd" "bytes" (fun () -> t.win.Cong.cwnd);
      reg "ssthresh" "bytes" (fun () ->
          (* The initial "infinite" ssthresh would drown real values in
             any plot; report it as 0 until congestion sets it. *)
-         if t.ssthresh > 1e18 then 0. else t.ssthresh);
+         if t.win.Cong.ssthresh > 1e18 then 0. else t.win.Cong.ssthresh);
      reg "inflight" "bytes" (fun () -> float_of_int (t.snd_nxt - t.snd_una));
      reg "rto" "ns" (fun () -> float_of_int (Time.to_ns (current_rto t)));
      reg "srtt" "ns" (fun () ->
@@ -220,14 +307,16 @@ let rto_pending t =
   | Some tm -> Scheduler.Timer.is_pending tm
   | None -> false
 
-let emit_segment t seg =
+(* Transmit the [i]-th oldest unacknowledged segment. *)
+let emit_segment t i =
+  let len = Segs.len t.segs i in
   t.st.segments_sent <- t.st.segments_sent + 1;
-  t.st.bytes_sent <- t.st.bytes_sent + seg.len;
+  t.st.bytes_sent <- t.st.bytes_sent + len;
   Host.send t.host
     (Packet.make ~ctx:(Scheduler.ctx t.sched) ~src:(Host.addr t.host)
        ~dst:t.peer ~conn:t.conn ~subflow:t.subflow ~src_port:(t.src_port ())
-       ~dst_port:t.dst_port ~seq:seg.ssn ~ack_seq:0 ~len:seg.len
-       ~bits:Packet.data_bits ~dsn:seg.dsn)
+       ~dst_port:t.dst_port ~seq:(Segs.ssn t.segs i) ~ack_seq:0 ~len
+       ~bits:Packet.data_bits ~dsn:(Segs.dsn t.segs i))
 
 let send_syn t =
   t.st.syn_sent <- t.st.syn_sent + 1;
@@ -243,14 +332,12 @@ let first_congestion t =
     t.on_first_congestion ()
   end
 
-let retransmit_front t =
-  match Queue.peek_opt t.segs with
-  | None -> ()
-  | Some seg ->
-    seg.rtx <- seg.rtx + 1;
-    seg.sent_at <- Scheduler.now t.sched;
-    t.st.segments_rtx <- t.st.segments_rtx + 1;
-    emit_segment t seg
+let retransmit t i =
+  Segs.resent t.segs i ~now:(Time.to_ns (Scheduler.now t.sched));
+  t.st.segments_rtx <- t.st.segments_rtx + 1;
+  emit_segment t i
+
+let retransmit_front t = if Segs.length t.segs > 0 then retransmit t 0
 
 (* Mark segments covered by the ACK's SACK blocks, read straight off
    the packet's scratch array (nothing allocated here). *)
@@ -258,48 +345,41 @@ let process_sack t (pkt : Packet.t) =
   let nblocks = pkt.Packet.sack_count in
   if t.params.Tcp_params.sack && nblocks > 0 then begin
     let blocks = pkt.Packet.sack in
-    Queue.iter
-      (fun seg ->
-        if not seg.sacked then begin
-          let covered = ref false in
-          for i = 0 to nblocks - 1 do
-            if
-              blocks.(2 * i) <= seg.ssn
-              && seg.ssn + seg.len <= blocks.((2 * i) + 1)
-            then covered := true
-          done;
-          if !covered then begin
-            seg.sacked <- true;
-            t.sacked_bytes <- t.sacked_bytes + seg.len
-          end
-        end)
-      t.segs
+    for i = 0 to Segs.length t.segs - 1 do
+      if not (Segs.has t.segs i Segs.sacked_bit) then begin
+        let ssn = Segs.ssn t.segs i and len = Segs.len t.segs i in
+        let covered = ref false in
+        for b = 0 to nblocks - 1 do
+          if blocks.(2 * b) <= ssn && ssn + len <= blocks.((2 * b) + 1) then
+            covered := true
+        done;
+        if !covered then begin
+          Segs.set t.segs i Segs.sacked_bit;
+          t.sacked_bytes <- t.sacked_bytes + len
+        end
+      end
+    done
   end
 
 (* Retransmit the earliest hole (unSACKed, un-retransmitted this
-   recovery, below the recovery point). *)
-let retransmit_next_hole t =
-  let exception Done in
-  try
-    Queue.iter
-      (fun seg ->
-        if (not seg.sacked) && (not seg.rtx_rec) && seg.ssn < t.recover_point
-        then begin
-          seg.rtx_rec <- true;
-          seg.rtx <- seg.rtx + 1;
-          seg.sent_at <- Scheduler.now t.sched;
-          t.st.segments_rtx <- t.st.segments_rtx + 1;
-          emit_segment t seg;
-          raise Done
-        end)
-      t.segs
-  with Done -> ()
+   recovery, below the recovery point), searching from index [i]. *)
+let rec retransmit_hole_from t i =
+  if i < Segs.length t.segs then
+    if
+      (not (Segs.has t.segs i Segs.sacked_bit))
+      && (not (Segs.has t.segs i Segs.rtx_rec_bit))
+      && Segs.ssn t.segs i < t.recover_point
+    then begin
+      Segs.set t.segs i Segs.rtx_rec_bit;
+      retransmit t i
+    end
+    else retransmit_hole_from t (i + 1)
 
-let clear_recovery_marks t =
-  Queue.iter (fun seg -> seg.rtx_rec <- false) t.segs
+let retransmit_next_hole t = retransmit_hole_from t 0
+let clear_recovery_marks t = Segs.clear_all t.segs Segs.rtx_rec_bit
 
 let clear_sack_marks t =
-  Queue.iter (fun seg -> seg.sacked <- false) t.segs;
+  Segs.clear_all t.segs Segs.sacked_bit;
   t.sacked_bytes <- 0
 
 let rec arm_rto t =
@@ -352,39 +432,30 @@ and on_rto t =
    standard threshold of 3 this is plain limited transmit; with the
    scatter phase's topology-derived threshold it is what keeps a
    reordered single window from stalling. *)
-let send_allowance t =
+(* Inlined so the float it returns is never boxed. *)
+let[@inline] send_allowance t =
   match t.recovery with
-  | Normal -> t.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
+  | Normal -> t.win.Cong.cwnd +. float_of_int (t.dup_acks * t.params.Tcp_params.mss)
   | Fast_recovery when t.params.Tcp_params.sack ->
     (* Pipe accounting: SACKed bytes have left the network. *)
-    t.cwnd +. float_of_int t.sacked_bytes
-  | Fast_recovery | Rto_recovery -> t.cwnd
+    t.win.Cong.cwnd +. float_of_int t.sacked_bytes
+  | Fast_recovery | Rto_recovery -> t.win.Cong.cwnd
 
 let try_send t =
   if t.state = Established then begin
     let continue = ref true in
     while !continue do
       if float_of_int (flight t) >= send_allowance t then continue := false
-      else
-        match t.source.pull ~max:(mss t) with
-        | None -> continue := false
-        | Some (dsn, len) ->
-          assert (len > 0 && len <= mss t);
-          let seg =
-            {
-              ssn = t.snd_nxt;
-              len;
-              dsn;
-              sent_at = Scheduler.now t.sched;
-              rtx = 0;
-              sacked = false;
-              rtx_rec = false;
-            }
-          in
-          Queue.push seg t.segs;
-          t.snd_nxt <- t.snd_nxt + len;
-          emit_segment t seg;
-          if not (rto_pending t) then arm_rto t
+      else if not (t.source.pull t.chunk ~max:(mss t)) then continue := false
+      else begin
+        let len = t.chunk.len in
+        assert (len > 0 && len <= mss t);
+        Segs.push t.segs ~ssn:t.snd_nxt ~len ~dsn:t.chunk.dsn
+          ~sent_at:(Time.to_ns (Scheduler.now t.sched));
+        t.snd_nxt <- t.snd_nxt + len;
+        emit_segment t (Segs.length t.segs - 1);
+        if not (rto_pending t) then arm_rto t
+      end
     done
   end
 
@@ -404,6 +475,7 @@ let check_all_acked t =
     && t.snd_una = t.snd_nxt
   then begin
     t.all_acked_fired <- true;
+    Segs.release t.segs;
     t.on_all_acked ()
   end
 
@@ -419,7 +491,7 @@ let enter_fast_recovery t =
    | None -> ());
   first_congestion t;
   t.cc.Cong.on_loss Cong.Fast_retransmit;
-  t.cwnd <- t.cwnd +. (3. *. float_of_int (mss t));
+  t.win.Cong.cwnd <- t.win.Cong.cwnd +. (3. *. float_of_int (mss t));
   t.recover_point <- t.snd_nxt;
   t.recovery <- Fast_recovery;
   clear_recovery_marks t;
@@ -431,36 +503,32 @@ let enter_fast_recovery t =
 let handle_new_ack t a ~ece =
   let newly = a - t.snd_una in
   (* Pop fully acknowledged segments, keeping the freshest candidate
-     RTT sample from a never-retransmitted segment (Karn). *)
-  let sample = ref None in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt t.segs with
-    | Some seg when seg.ssn + seg.len <= a ->
-      ignore (Queue.pop t.segs);
-      if seg.sacked then t.sacked_bytes <- t.sacked_bytes - seg.len;
-      if seg.rtx = 0 then sample := Some seg.sent_at;
-      t.on_dsn_acked ~dsn:seg.dsn ~len:seg.len
-    | Some _ | None -> continue := false
+     RTT sample (send time in ns; -1 for none) from a
+     never-retransmitted segment (Karn). *)
+  let sample = ref (-1) in
+  while Segs.length t.segs > 0 && Segs.ssn t.segs 0 + Segs.len t.segs 0 <= a do
+    let len = Segs.len t.segs 0 and dsn = Segs.dsn t.segs 0 in
+    if Segs.has t.segs 0 Segs.sacked_bit then t.sacked_bytes <- t.sacked_bytes - len;
+    if not (Segs.has t.segs 0 Segs.rtx_bit) then sample := Segs.sent_at t.segs 0;
+    Segs.drop_front t.segs;
+    t.on_dsn_acked ~dsn ~len
   done;
   t.snd_una <- a;
   t.backoff <- 0;
-  (match !sample with
-   | Some sent_at ->
-     let now = Scheduler.now t.sched in
-     let rtt_sample = Time.diff now sent_at in
-     Rtt_estimator.observe t.rtt rtt_sample;
-     (match t.hist_rtt with
-      | Some h ->
-        Sim_stats.Histogram.add h
-          (float_of_int (Time.to_ns rtt_sample) /. 1e3)
-      | None -> ())
-   | None -> ());
+  if !sample >= 0 then begin
+    let now = Scheduler.now t.sched in
+    let rtt_sample = Time.diff now (Time.of_ns !sample) in
+    Rtt_estimator.observe t.rtt rtt_sample;
+    match t.hist_rtt with
+    | Some h ->
+      Sim_stats.Histogram.add h (float_of_int (Time.to_ns rtt_sample) /. 1e3)
+    | None -> ()
+  end;
   (match t.recovery with
    | Fast_recovery ->
      if a >= t.recover_point then begin
        t.recovery <- Normal;
-       t.cwnd <- Float.max t.ssthresh (float_of_int (mss t));
+       t.win.Cong.cwnd <- Float.max t.win.Cong.ssthresh (float_of_int (mss t));
        t.dup_acks <- 0
      end
      else if t.params.Tcp_params.sack then retransmit_next_hole t
@@ -531,8 +599,8 @@ let handle t pkt =
   end
 
 let state t = t.state
-let cwnd t = t.cwnd
-let ssthresh t = t.ssthresh
+let cwnd t = t.win.Cong.cwnd
+let ssthresh t = t.win.Cong.ssthresh
 let snd_una t = t.snd_una
 let snd_nxt t = t.snd_nxt
 let in_recovery t = t.recovery <> Normal

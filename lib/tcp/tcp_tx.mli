@@ -20,11 +20,17 @@ module Time = Sim_engine.Sim_time
 
 (** {1 Data sources} *)
 
+type chunk = { mutable dsn : int; mutable len : int }
+(** One chunk of data-level bytes, [\[dsn, dsn + len)]. Each sender
+    owns one and lends it to every [pull], so pulling allocates
+    nothing. *)
+
 type source = {
-  pull : max:int -> (int * int) option;
-      (** [pull ~max] allocates the next chunk to this subflow as
-          [(dsn, len)] with [0 < len <= max], or [None] when nothing is
-          available right now. *)
+  pull : chunk -> max:int -> bool;
+      (** [pull c ~max] allocates the next chunk to this subflow,
+          writing it into [c] with [0 < c.len <= max], and returns
+          [true]; it returns [false], leaving [c] alone, when nothing
+          is available right now. *)
   has_more : unit -> bool;
       (** Whether the source may ever yield data again; [false] means
           the subflow is done once everything in flight is ACKed. *)

@@ -14,19 +14,10 @@ module Flow = Sim_tcp.Flow
 let check_bool = Alcotest.(check bool)
 
 let fake_window ?(mss = 1400) ?(cwnd = 14_000.) ?(ssthresh = 1.) () =
-  let c = ref cwnd and s = ref ssthresh in
-  let w =
-    {
-      Cong.get_cwnd = (fun () -> !c);
-      set_cwnd = (fun v -> c := v);
-      get_ssthresh = (fun () -> !s);
-      set_ssthresh = (fun v -> s := v);
-      flight = (fun () -> int_of_float !c);
-      mss;
-      srtt = (fun () -> Some (Time.of_ms 1.));
-    }
-  in
-  (w, c, s)
+  let win = { Cong.cwnd; ssthresh } in
+  let rtt = Sim_tcp.Rtt_estimator.create ~params:Sim_tcp.Tcp_params.default in
+  Sim_tcp.Rtt_estimator.observe rtt (Time.of_ms 1.);
+  ({ Cong.win; mss; flight = (fun () -> int_of_float win.Cong.cwnd); rtt }, win)
 
 let feed cc ~acked ~ece n =
   for _ = 1 to n do
@@ -34,12 +25,12 @@ let feed cc ~acked ~ece n =
   done
 
 let test_alpha_starts_zero () =
-  let w, _, _ = fake_window () in
+  let w, _ = fake_window () in
   let cc = Dctcp.make w in
   Alcotest.(check (option (float 1e-9))) "alpha 0" (Some 0.) (Dctcp.alpha_of cc)
 
 let test_alpha_rises_under_marking () =
-  let w, _, _ = fake_window () in
+  let w, _ = fake_window () in
   let cc = Dctcp.make w in
   (* Several fully-marked windows: alpha must climb towards 1. *)
   feed cc ~acked:1400 ~ece:true 100;
@@ -48,7 +39,7 @@ let test_alpha_rises_under_marking () =
   | None -> Alcotest.fail "no alpha"
 
 let test_alpha_decays_when_clean () =
-  let w, _, _ = fake_window () in
+  let w, _ = fake_window () in
   let cc = Dctcp.make w in
   feed cc ~acked:1400 ~ece:true 50;
   let a1 = Option.get (Dctcp.alpha_of cc) in
@@ -62,25 +53,25 @@ let test_alpha_decays_when_clean () =
     (a2 < a1 /. 2.)
 
 let test_marked_window_cuts_cwnd () =
-  let w, c, _ = fake_window ~cwnd:28_000. () in
+  let w, c = fake_window ~cwnd:28_000. () in
   let cc = Dctcp.make w in
-  let before = !c in
+  let before = c.Cong.cwnd in
   feed cc ~acked:1400 ~ece:true 40;
-  check_bool "cwnd reduced below growth path" true (!c < before +. 40. *. 140.)
+  check_bool "cwnd reduced below growth path" true (c.Cong.cwnd < before +. 40. *. 140.)
 
 let test_clean_window_grows () =
-  let w, c, _ = fake_window ~cwnd:14_000. ~ssthresh:1. () in
+  let w, c = fake_window ~cwnd:14_000. ~ssthresh:1. () in
   let cc = Dctcp.make w in
-  let before = !c in
+  let before = c.Cong.cwnd in
   feed cc ~acked:1400 ~ece:false 20;
-  check_bool "grows like reno" true (!c > before)
+  check_bool "grows like reno" true (c.Cong.cwnd > before)
 
 let test_loss_still_halves () =
-  let w, c, s = fake_window ~cwnd:20_000. () in
+  let w, c = fake_window ~cwnd:20_000. () in
   let cc = Dctcp.make w in
   cc.Cong.on_loss Cong.Fast_retransmit;
-  Alcotest.(check (float 1e-9)) "ssthresh" 10_000. !s;
-  Alcotest.(check (float 1e-9)) "cwnd" 10_000. !c
+  Alcotest.(check (float 1e-9)) "ssthresh" 10_000. c.Cong.ssthresh;
+  Alcotest.(check (float 1e-9)) "cwnd" 10_000. c.Cong.cwnd
 
 let ecn_spec threshold =
   { Topology.default_link_spec with ecn_threshold = Some threshold }

@@ -664,6 +664,147 @@ let test_rng_bad_args () =
   Alcotest.check_raises "exp mean" (Invalid_argument "Rng.exponential: mean must be positive")
     (fun () -> ignore (Rng.exponential r ~mean:0.))
 
+(* The first 16 draws of each kind for two seeds (1, and the jitter
+   stream seed of link 0), pinned to the values the generator has
+   always produced: every simulated result depends on these streams
+   (per-hop link jitter, MMPTCP's scatter ports, arrivals), so a
+   change of state representation must reproduce them bit for bit.
+   [split] pins each child's first [bits64]. Floats are compared by
+   bit pattern. *)
+let rng_golden =
+  [
+    ( 1,
+      [| 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+         0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+         0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL; 0x509a840d44beedbdL;
+         0xe1d9d25350c18b44L; 0x83db02da19918686L; 0x889af42f2e548689L;
+         0xec3add8a85bfa5eeL; 0x33ab0c5babe05527L; 0x27a774aeba5ef45bL;
+         0x8bcb0ba992bb02deL |],
+      [| 415844; 154100; 621268; 938306; 933616; 861756; 29089; 132952;
+         329733; 981562; 198168; 230256; 65990; 203156; 154872; 893692 |],
+      [| 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+         0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+         0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3; 0x1.426a103512fbap-2;
+         0x1.c3b3a4a6a1831p-1; 0x1.07b605b43323p-1; 0x1.1135e85e5ca9p-1;
+         0x1.d875bb150b7f4p-1; 0x1.9d5862dd5f028p-3; 0x1.3d3ba575d2f78p-3;
+         0x1.179617532576p-1 |],
+      [| 0x55c55969ed403149L; 0x81fb535ca52e6825L; 0xa53ffa611d4be918L;
+         0x16ba5b30692dd2a2L; 0xf01299dc05d70986L; 0xa389390354dbe8caL;
+         0x49b288b6df2c88cfL; 0x2ede7ae59f4051e0L; 0x7010b62c1b16786bL;
+         0x1402e4e5145ffe66L; 0x57c394c33369d41cL; 0xe12dcbdfe797ab5fL;
+         0x14027c9d7bfb77a6L; 0xc2b1524cf41b8174L; 0x2919180e478bca5L;
+         0x9b61ff5070ead4cbL |] );
+    ( 0x11CC,
+      [| 0x967577df2c0cda59L; 0x9067ade43df73d47L; 0x37364c25f909555fL;
+         0x41461b22779d6addL; 0xf13b980c09442510L; 0x9ac8177457a960faL;
+         0x3f5bf92238dfed51L; 0x7fee4831a5ee498dL; 0x20633016456d6dc3L;
+         0x21932ca1cb34e0aL; 0xd40b55a0677e4969L; 0x50d88a7dc1b4787cL;
+         0xbe77d1eb2113bd24L; 0xc4f364a3da03f074L; 0x30535dd62acaecc2L;
+         0x2a1e9ec6790436b7L |],
+      [| 253939; 576411; 716837; 111427; 889385; 302887; 904912; 969914;
+         553518; 560283; 74109; 531687; 591979; 398721; 857892; 318258 |],
+      [| 0x1.2ceaefbe5819bp-1; 0x1.20cf5bc87bee7p-1; 0x1.b9b2612fc84a8p-3;
+         0x1.05186c89de75ap-2; 0x1.e277301812884p-1; 0x1.35902ee8af52cp-1;
+         0x1.fadfc911c6ff4p-3; 0x1.ffb920c697b92p-2; 0x1.031980b22b6b4p-3;
+         0x1.0c99650e59a4p-7; 0x1.a816ab40cefc9p-1; 0x1.436229f706d1ep-2;
+         0x1.7cefa3d642277p-1; 0x1.89e6c947b407ep-1; 0x1.829aeeb156574p-3;
+         0x1.50f4f633c8218p-3 |],
+      [| 0x9d5cf4a329ae235cL; 0x48b5a38647a21fb0L; 0x92622b1dd8ce30b5L;
+         0xf931abc6d7513e91L; 0xafa51a2ecbe9532dL; 0x2e3cc813b3333724L;
+         0x9f7f73fee62fb69cL; 0x95387223ec10edb8L; 0x81a85fb9925c54d7L;
+         0xe9ec9be4fb093dbdL; 0xe440d75d8becb773L; 0xba25dc41135d7cafL;
+         0x509127b49881b6bbL; 0xbbd1dc1bb1ef0dcdL; 0x9e3656e4e9d05888L;
+         0x18af722a8385e8f9L |] )
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, bits, ints, floats, splits) ->
+      let name kind i = Printf.sprintf "seed %d %s #%d" seed kind i in
+      let r = Rng.create ~seed in
+      Array.iteri
+        (fun i v -> Alcotest.(check int64) (name "bits64" i) v (Rng.bits64 r))
+        bits;
+      let r = Rng.create ~seed in
+      Array.iteri
+        (fun i v -> check_int (name "int" i) v (Rng.int r 1_000_003))
+        ints;
+      let r = Rng.create ~seed in
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check int64) (name "float" i) (Int64.bits_of_float v)
+            (Int64.bits_of_float (Rng.float r 1.0)))
+        floats;
+      let r = Rng.create ~seed in
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check int64) (name "split" i) v (Rng.bits64 (Rng.split r)))
+        splits)
+    rng_golden
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets
+
+   After warm-up these hot-path operations allocate nothing. Tests run
+   in the dev profile, which compiles with -opaque, so the budgets hold
+   without cross-module inlining. The slack absorbs the boxed floats
+   that the Gc.minor_words calls themselves return. *)
+
+let alloc_slack = 64.
+
+(* Arm every entry 1 us to ~16 ms ahead (levels 0-2, so arms search
+   levels and advances cascade), then advance past them all. *)
+let wheel_round w entries emit r =
+  let base = Timer_wheel.cursor_ns w in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    e.Timer_wheel.time <- base + 1024 + (((i * 104_729) + (r * 7_919)) land 0xFF_FFFF);
+    e.Timer_wheel.seq <- i;
+    if not (Timer_wheel.schedule w e) then emit e
+  done;
+  Timer_wheel.advance w ~upto:(base + 0x200_0000) ~emit
+
+let test_wheel_no_alloc () =
+  let w = Timer_wheel.create () in
+  let entries = Array.init 64 (fun _ -> Timer_wheel.make_entry ignore ()) in
+  let emitted = ref 0 in
+  let emit (_ : Timer_wheel.entry) = incr emitted in
+  for r = 0 to 9 do
+    wheel_round w entries emit r
+  done;
+  let w0 = Gc.minor_words () in
+  for r = 10 to 1009 do
+    wheel_round w entries emit r
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  check_int "every arm emitted" (1010 * 64) !emitted;
+  if dw > alloc_slack then
+    Alcotest.failf "64,000 wheel arms and advances allocated %.0f minor words" dw
+
+let test_rng_no_alloc () =
+  let r = Rng.create ~seed:9 in
+  let acc = ref 0 in
+  let draws n =
+    for _ = 1 to n do
+      acc := !acc + Rng.int r 60_000 + Rng.float_trunc r 5_000
+    done
+  in
+  draws 1_000;
+  let w0 = Gc.minor_words () in
+  draws 100_000;
+  let dw = Gc.minor_words () -. w0 in
+  check_bool "draws land" true (!acc > 0);
+  if dw > alloc_slack then
+    Alcotest.failf "200,000 draws allocated %.0f minor words" dw
+
+let test_rng_float_trunc () =
+  let a = Rng.create ~seed:0x11CC and b = Rng.create ~seed:0x11CC in
+  for _ = 1 to 1_000 do
+    check_int "same draw as float, truncated"
+      (int_of_float (Rng.float a 5_000.))
+      (Rng.float_trunc b 5_000)
+  done
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -686,7 +827,12 @@ let () =
           Alcotest.test_case "compact" `Quick test_heap_compact;
           qt prop_heap_sorts;
         ] );
-      ("timer_wheel", [ qt prop_wheel_matches_heap ]);
+      ( "timer_wheel",
+        [
+          qt prop_wheel_matches_heap;
+          Alcotest.test_case "arm and advance allocate nothing" `Quick
+            test_wheel_no_alloc;
+        ] );
       ( "scheduler",
         [
           Alcotest.test_case "order and clock" `Quick test_scheduler_order_and_clock;
@@ -725,6 +871,10 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "int_in range" `Quick test_rng_int_in;
           Alcotest.test_case "bad arguments" `Quick test_rng_bad_args;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "float_trunc is float truncated" `Quick
+            test_rng_float_trunc;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_no_alloc;
           qt prop_rng_int_bounds;
           qt prop_rng_float_bounds;
           qt prop_rng_shuffle_permutes;

@@ -15,23 +15,14 @@ module Mptcp_conn = Sim_mptcp.Mptcp_conn
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* A synthetic window over refs, for exercising controllers without a
-   TCP stack behind them. *)
+(* A synthetic window over a bare [Cong.win], for exercising
+   controllers without a TCP stack behind them. *)
 let fake_window ?(mss = 1400) ?(cwnd = 14_000.) ?(ssthresh = 7_000.)
     ?(rtt_ms = 1.) () =
-  let c = ref cwnd and s = ref ssthresh in
-  let w =
-    {
-      Cong.get_cwnd = (fun () -> !c);
-      set_cwnd = (fun v -> c := v);
-      get_ssthresh = (fun () -> !s);
-      set_ssthresh = (fun v -> s := v);
-      flight = (fun () -> int_of_float !c);
-      mss;
-      srtt = (fun () -> Some (Time.of_ms rtt_ms));
-    }
-  in
-  (w, c, s)
+  let win = { Cong.cwnd; ssthresh } in
+  let rtt = Sim_tcp.Rtt_estimator.create ~params:Sim_tcp.Tcp_params.default in
+  Sim_tcp.Rtt_estimator.observe rtt (Time.of_ms rtt_ms);
+  ({ Cong.win; mss; flight = (fun () -> int_of_float win.Cong.cwnd); rtt }, win)
 
 (* ------------------------------------------------------------------ *)
 (* LIA *)
@@ -43,7 +34,7 @@ let test_lia_alpha_empty () =
 let test_lia_alpha_symmetric () =
   (* Two identical subflows: alpha = total * (c/r^2) / (2c/r)^2 = 1/2. *)
   let g = Lia.make_group () in
-  let w1, _, _ = fake_window () and w2, _, _ = fake_window () in
+  let w1, _ = fake_window () and w2, _ = fake_window () in
   ignore (Lia.attach g w1);
   ignore (Lia.attach g w2);
   check_int "count" 2 (Lia.subflow_count g);
@@ -54,7 +45,7 @@ let test_lia_alpha_n_symmetric () =
      TCP - the design goal of LIA. *)
   let g = Lia.make_group () in
   for _ = 1 to 8 do
-    let w, _, _ = fake_window () in
+    let w, _ = fake_window () in
     ignore (Lia.attach g w)
   done;
   Alcotest.(check (float 1e-9)) "alpha 1/8" 0.125 (Lia.alpha g)
@@ -63,43 +54,42 @@ let test_lia_increase_capped_by_uncoupled () =
   (* In congestion avoidance the coupled increase can never exceed what
      a standalone TCP would do on the same subflow. *)
   let g = Lia.make_group () in
-  let w1, c1, s1 = fake_window ~cwnd:14_000. ~ssthresh:7_000. () in
-  let w2, _, _ = fake_window ~cwnd:140_000. ~ssthresh:7_000. () in
+  let w1, c1 = fake_window ~cwnd:14_000. ~ssthresh:7_000. () in
+  let w2, _ = fake_window ~cwnd:140_000. ~ssthresh:7_000. () in
   let cc1 = Lia.attach g w1 in
   ignore (Lia.attach g w2);
-  ignore s1;
-  let before = !c1 in
+  let before = c1.Cong.cwnd in
   cc1.Cong.on_ack ~acked:1400 ~ece:false;
-  let coupled_inc = !c1 -. before in
+  let coupled_inc = c1.Cong.cwnd -. before in
   (* Standalone byte-counted AIMD would add mss*mss/cwnd = 140 bytes. *)
   check_bool "capped" true (coupled_inc <= 140. +. 1e-9);
   check_bool "positive" true (coupled_inc > 0.)
 
 let test_lia_slow_start_uncoupled () =
   let g = Lia.make_group () in
-  let w, c, _ = fake_window ~cwnd:2_800. ~ssthresh:100_000. () in
+  let w, c = fake_window ~cwnd:2_800. ~ssthresh:100_000. () in
   let cc = Lia.attach g w in
   cc.Cong.on_ack ~acked:1400 ~ece:false;
-  Alcotest.(check (float 1e-9)) "slow start adds acked" 4_200. !c
+  Alcotest.(check (float 1e-9)) "slow start adds acked" 4_200. c.Cong.cwnd
 
 let test_lia_loss_halves () =
   let g = Lia.make_group () in
-  let w, c, s = fake_window ~cwnd:14_000. ~ssthresh:100_000. () in
+  let w, c = fake_window ~cwnd:14_000. ~ssthresh:100_000. () in
   let cc = Lia.attach g w in
   cc.Cong.on_loss Cong.Fast_retransmit;
-  Alcotest.(check (float 1e-9)) "ssthresh = flight/2" 7_000. !s;
-  Alcotest.(check (float 1e-9)) "cwnd = ssthresh" 7_000. !c;
+  Alcotest.(check (float 1e-9)) "ssthresh = flight/2" 7_000. c.Cong.ssthresh;
+  Alcotest.(check (float 1e-9)) "cwnd = ssthresh" 7_000. c.Cong.cwnd;
   cc.Cong.on_loss Cong.Timeout;
-  Alcotest.(check (float 1e-9)) "timeout collapses to 1 mss" 1_400. !c
+  Alcotest.(check (float 1e-9)) "timeout collapses to 1 mss" 1_400. c.Cong.cwnd
 
 let test_lia_shifts_away_from_congested () =
   (* A subflow with a much larger RTT (a congested path) should receive
      a smaller coupled increase than the fast subflow. *)
   let g = Lia.make_group () in
-  let wf, cf, _ = fake_window ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:0.5 () in
-  let ws, cs, _ = fake_window ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:10. () in
+  let wf, cf = fake_window ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:0.5 () in
+  let ws, cs = fake_window ~cwnd:14_000. ~ssthresh:1. ~rtt_ms:10. () in
   let ccf = Lia.attach g wf and ccs = Lia.attach g ws in
-  let f0 = !cf and s0 = !cs in
+  let f0 = cf.Cong.cwnd and s0 = cs.Cong.cwnd in
   for _ = 1 to 10 do
     ccf.Cong.on_ack ~acked:1400 ~ece:false;
     ccs.Cong.on_ack ~acked:1400 ~ece:false
@@ -108,18 +98,24 @@ let test_lia_shifts_away_from_congested () =
      fast path gets 20x more ACKs per unit time in reality. Here we
      check the per-ack increase at least does not favour the slow
      path. *)
-  check_bool "no bias to congested path" true (!cf -. f0 >= !cs -. s0 -. 1e-9)
+  check_bool "no bias to congested path" true (cf.Cong.cwnd -. f0 >= cs.Cong.cwnd -. s0 -. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Dataplane *)
 
+(* The plane's next chunk as [Some (dsn, len)], [None] when drained. *)
+let pull_opt p ~max =
+  let c = { Sim_tcp.Tcp_tx.dsn = -1; len = 0 } in
+  if Dataplane.pull p c ~max then Some (c.Sim_tcp.Tcp_tx.dsn, c.Sim_tcp.Tcp_tx.len)
+  else None
+
 let test_dataplane_sequential_pull () =
   let sched = Scheduler.create () in
   let p = Dataplane.create ~sched ~size:3_000 ~on_complete:(fun () -> ()) in
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (Dataplane.pull p ~max:1400);
-  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (Dataplane.pull p ~max:1400);
-  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (Dataplane.pull p ~max:1400);
-  Alcotest.(check (option (pair int int))) "drained" None (Dataplane.pull p ~max:1400);
+  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (pull_opt p ~max:1400);
+  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (pull_opt p ~max:1400);
+  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (pull_opt p ~max:1400);
+  Alcotest.(check (option (pair int int))) "drained" None (pull_opt p ~max:1400);
   check_bool "nothing unassigned" false (Dataplane.unassigned p);
   check_int "assigned" 3_000 (Dataplane.assigned p)
 
@@ -177,6 +173,47 @@ let test_mptcp_completes_fattree () =
   Scheduler.run ~until:(Time.of_sec 10.) sched;
   check_bool "complete" true (Mptcp_conn.is_complete c);
   check_int "bytes" 200_000 (Mptcp_conn.bytes_received c)
+
+(* After warm-up and its handshake, a 70 KB MPTCP-8 transfer across
+   the k=4 tree allocates at most one minor word per event (dev
+   profile, -opaque). A first transfer on the same network grows the
+   packet and event pools and the queue rings; the second one is
+   measured from the moment all eight subflows are established, and
+   what it still allocates is per connection (its send rings and span
+   arrays, its completion record), not per event. *)
+let test_mptcp_alloc_per_event () =
+  let sched = Scheduler.create () in
+  let net = Fattree.create ~sched (Fattree.default_params ~k:4 ~oversub:2 ()) in
+  let transfer () =
+    Mptcp_conn.start ~src:(Topology.host net 0) ~dst:(Topology.host net 20)
+      ~size:70_000 ~subflows:8 ()
+  in
+  let warm = transfer () in
+  Scheduler.run ~until:(Time.of_sec 5.) sched;
+  check_bool "warm-up complete" true (Mptcp_conn.is_complete warm);
+  let c = transfer () in
+  let established () =
+    let all = ref true in
+    for i = 0 to 7 do
+      if Sim_tcp.Tcp_tx.state (Mptcp_conn.subflow_tx c i) <> Sim_tcp.Tcp_tx.Established
+      then all := false
+    done;
+    !all
+  in
+  while not (established ()) do
+    Scheduler.run ~max_events:1 sched
+  done;
+  let e0 = Scheduler.events_processed sched in
+  let w0 = Gc.minor_words () in
+  Scheduler.run ~until:(Time.of_sec 10.) sched;
+  let dw = Gc.minor_words () -. w0 in
+  let events = Scheduler.events_processed sched - e0 in
+  check_bool "complete" true (Mptcp_conn.is_complete c);
+  check_bool "ran events" true (events > 500);
+  let per_event = dw /. float_of_int events in
+  if per_event > 1. then
+    Alcotest.failf "%.0f minor words over %d events: %.2f words/event" dw events
+      per_event
 
 let test_mptcp_single_subflow_close_to_tcp () =
   let run_mptcp () =
@@ -293,6 +330,8 @@ let () =
         [
           Alcotest.test_case "completes direct" `Quick test_mptcp_completes_direct;
           Alcotest.test_case "completes fattree" `Quick test_mptcp_completes_fattree;
+          Alcotest.test_case "at most one word per event" `Quick
+            test_mptcp_alloc_per_event;
           Alcotest.test_case "1 subflow ~ tcp" `Quick test_mptcp_single_subflow_close_to_tcp;
           Alcotest.test_case "multihomed beats tcp" `Slow test_mptcp_multihomed_beats_tcp;
           Alcotest.test_case "uncoupled" `Quick test_mptcp_uncoupled_runs;

@@ -239,11 +239,12 @@ let test_queue_fifo () =
   let a = mk_pkt () and b = mk_pkt () in
   check_bool "enq a" true (Pktqueue.enqueue q a);
   check_bool "enq b" true (Pktqueue.enqueue q b);
-  check_bool "fifo order" true
-    (match Pktqueue.dequeue q with Some p -> p == a | None -> false);
-  check_bool "fifo order 2" true
-    (match Pktqueue.dequeue q with Some p -> p == b | None -> false);
-  check_bool "drained" true (Pktqueue.dequeue q = None)
+  check_bool "fifo order" true (Pktqueue.take q == a);
+  check_bool "fifo order 2" true (Pktqueue.take q == b);
+  check_bool "drained" true (Pktqueue.is_empty q);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Pktqueue.take: empty queue") (fun () ->
+      ignore (Pktqueue.take q))
 
 let test_queue_drop_tail () =
   let q = Pktqueue.create ~ctx ~capacity:2 ~layer:Layer.Core_layer () in
@@ -260,7 +261,7 @@ let test_queue_backlog_accounting () =
   ignore (Pktqueue.enqueue q p);
   check_int "backlog pkts" 1 (Pktqueue.backlog_pkts q);
   check_int "backlog bytes" 1000 (Pktqueue.backlog_bytes q);
-  ignore (Pktqueue.dequeue q);
+  ignore (Pktqueue.take q);
   check_int "empty bytes" 0 (Pktqueue.backlog_bytes q)
 
 let test_queue_ecn_marks () =
@@ -282,9 +283,109 @@ let prop_queue_never_exceeds_capacity =
       List.iter
         (fun enq ->
           if enq then ignore (Pktqueue.enqueue q (mk_pkt ()))
-          else ignore (Pktqueue.dequeue q))
+          else if not (Pktqueue.is_empty q) then ignore (Pktqueue.take q))
         ops;
       Pktqueue.backlog_pkts q <= cap)
+
+(* The ring against a stdlib-Queue reference: random enqueues (two in
+   three ops, so full-queue drops are common) and takes at capacities
+   1-5, which wrap the ring many times. Every step must agree on the
+   verdict, FIFO order (by uid and size), backlog in packets and bytes,
+   and the drop and enqueue counts. Taken packets go back to the pool,
+   so later enqueues reuse their records. *)
+let prop_queue_ring_matches_queue =
+  QCheck.Test.make ~name:"ring matches stdlib Queue" ~count:300
+    QCheck.(pair (int_range 1 5) (list (pair (int_range 0 2) (int_range 0 1460))))
+    (fun (cap, ops) ->
+      let q = Pktqueue.create ~ctx ~capacity:cap ~layer:Layer.Host_layer () in
+      let model = Queue.create () in
+      let bytes = ref 0 and drops = ref 0 and accepted = ref 0 in
+      List.for_all
+        (fun (op, len) ->
+          let step_ok =
+            if op < 2 then begin
+              let p = mk_pkt ~len () in
+              (* Read before enqueue: a dropped packet is freed. *)
+              let entry = (p.Packet.uid, p.Packet.size) in
+              let fits = Queue.length model < cap in
+              if fits then begin
+                Queue.push entry model;
+                bytes := !bytes + snd entry;
+                incr accepted
+              end
+              else incr drops;
+              Pktqueue.enqueue q p = fits
+            end
+            else if Queue.is_empty model then
+              Pktqueue.is_empty q
+              &&
+              match Pktqueue.take q with
+              | _ -> false
+              | exception Invalid_argument _ -> true
+            else begin
+              let uid, size = Queue.pop model in
+              bytes := !bytes - size;
+              let p = Pktqueue.take q in
+              let ok = p.Packet.uid = uid && p.Packet.size = size in
+              Packet.free ~ctx p;
+              ok
+            end
+          in
+          let st = Pktqueue.stats q in
+          step_ok
+          && Pktqueue.backlog_pkts q = Queue.length model
+          && Pktqueue.backlog_bytes q = !bytes
+          && st.Pktqueue.dropped = !drops
+          && st.Pktqueue.enqueued = !accepted)
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets: after warm-up, ECMP hashing and a queue's
+   enqueue/take cycle allocate nothing (dev profile, -opaque). The
+   slack absorbs the Gc.minor_words calls' own boxed floats. *)
+
+let alloc_slack = 64.
+
+let test_ecmp_no_alloc () =
+  let p = mk_pkt () in
+  let acc = ref 0 in
+  let hashes n =
+    for i = 1 to n do
+      p.Packet.src_port <- i land 0xFFFF;
+      acc := !acc + Ecmp.select p ~salt:i ~n:4
+    done
+  in
+  hashes 1_000;
+  let w0 = Gc.minor_words () in
+  hashes 100_000;
+  let dw = Gc.minor_words () -. w0 in
+  check_bool "hashes land" true (!acc > 0);
+  if dw > alloc_slack then
+    Alcotest.failf "100,000 ECMP selects allocated %.0f minor words" dw
+
+(* Five in, five out on an 8-slot ring: the head walks all the way
+   round every eight cycles. *)
+let queue_cycle q pkts =
+  for i = 0 to Array.length pkts - 1 do
+    ignore (Pktqueue.enqueue q pkts.(i))
+  done;
+  for _ = 1 to Array.length pkts do
+    ignore (Pktqueue.take q)
+  done
+
+let test_queue_no_alloc () =
+  let q = Pktqueue.create ~ctx ~capacity:8 ~layer:Layer.Edge_layer () in
+  let pkts = Array.init 5 (fun _ -> mk_pkt ()) in
+  queue_cycle q pkts;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 20_000 do
+    queue_cycle q pkts
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  check_int "all accepted" 100_005 (Pktqueue.stats q).Pktqueue.enqueued;
+  check_bool "drained" true (Pktqueue.is_empty q);
+  if dw > alloc_slack then
+    Alcotest.failf "100,000 enqueue/take pairs allocated %.0f minor words" dw
 
 (* ------------------------------------------------------------------ *)
 (* RED *)
@@ -549,6 +650,7 @@ let () =
           qt prop_ecmp_in_range;
           qt prop_ecmp_pure_function;
           qt prop_ecmp_not_polymorphic_hash;
+          Alcotest.test_case "select allocates nothing" `Quick test_ecmp_no_alloc;
         ] );
       ( "pktqueue",
         [
@@ -557,6 +659,9 @@ let () =
           Alcotest.test_case "backlog accounting" `Quick test_queue_backlog_accounting;
           Alcotest.test_case "ecn marking" `Quick test_queue_ecn_marks;
           qt prop_queue_never_exceeds_capacity;
+          qt prop_queue_ring_matches_queue;
+          Alcotest.test_case "enqueue and take allocate nothing" `Quick
+            test_queue_no_alloc;
         ] );
       ( "link",
         [

@@ -79,6 +79,37 @@ let test_intervals_bad_range () =
   Alcotest.check_raises "stop < start" (Invalid_argument "Intervals.add: stop < start")
     (fun () -> ignore (Intervals.add t ~start:5 ~stop:4))
 
+(* A data-level reorder pattern: window [w] of eight 1,400-byte
+   segments arrives odd ones first, then the evens, so up to four holes
+   are open at once. After each add the receive path's reads run too:
+   the contiguous prefix and the SACK blocks above it. *)
+let intervals_window t dst w =
+  let base = w * 8 * 1400 in
+  for k = 0 to 7 do
+    let j = if k < 4 then (2 * k) + 1 else 2 * (k - 4) in
+    let start = base + (j * 1400) in
+    ignore (Intervals.add t ~start ~stop:(start + 1400));
+    let nxt = Intervals.contiguous_from t 0 in
+    ignore (Intervals.fill_above t ~above:nxt ~max_blocks:3 ~dst)
+  done
+
+(* Once the span arrays have grown, reordered adds allocate nothing
+   (dev profile, -opaque; the slack absorbs the Gc.minor_words calls'
+   own boxed floats). *)
+let test_intervals_no_alloc () =
+  let t = Intervals.create () in
+  let dst = Array.make 6 0 in
+  intervals_window t dst 0;
+  let w0 = Gc.minor_words () in
+  for w = 1 to 2_000 do
+    intervals_window t dst w
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  check_int "all bytes in one span" (2_001 * 8 * 1400) (Intervals.contiguous_from t 0);
+  check_int "one span" 1 (Intervals.span_count t);
+  if dw > 64. then
+    Alcotest.failf "16,000 reordered adds allocated %.0f minor words" dw
+
 (* Reference model: a bool array. *)
 let prop_intervals_match_reference =
   QCheck.Test.make ~name:"intervals match boolean-array reference" ~count:300
@@ -100,7 +131,19 @@ let prop_intervals_match_reference =
           let total_ref =
             Array.fold_left (fun a b -> if b then a + 1 else a) 0 reference
           in
-          added = !expected && Intervals.total t = total_ref)
+          (* The spans are the reference's maximal runs, in order. *)
+          let runs = ref [] and i = ref 0 in
+          while !i <= 100 do
+            if reference.(!i) then begin
+              let s = !i in
+              while !i <= 100 && reference.(!i) do incr i done;
+              runs := (s, !i) :: !runs
+            end
+            else incr i
+          done;
+          added = !expected
+          && Intervals.total t = total_ref
+          && Intervals.spans t = List.rev !runs)
         ranges)
 
 let prop_intervals_contiguous_matches_reference =
@@ -170,17 +213,22 @@ let test_rtt_var_tracks_jitter () =
 (* ------------------------------------------------------------------ *)
 (* Sources *)
 
+(* A source's next chunk as [Some (dsn, len)], [None] when it has none. *)
+let pull_opt (s : Tcp_tx.source) ~max =
+  let c = { Tcp_tx.dsn = -1; len = 0 } in
+  if s.Tcp_tx.pull c ~max then Some (c.Tcp_tx.dsn, c.Tcp_tx.len) else None
+
 let test_fixed_source_sequential () =
   let s = Tcp_tx.fixed_size_source 3000 in
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (s.Tcp_tx.pull ~max:1400);
-  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (s.Tcp_tx.pull ~max:1400);
-  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (s.Tcp_tx.pull ~max:1400);
-  Alcotest.(check (option (pair int int))) "exhausted" None (s.Tcp_tx.pull ~max:1400);
+  Alcotest.(check (option (pair int int))) "first" (Some (0, 1400)) (pull_opt s ~max:1400);
+  Alcotest.(check (option (pair int int))) "second" (Some (1400, 1400)) (pull_opt s ~max:1400);
+  Alcotest.(check (option (pair int int))) "tail" (Some (2800, 200)) (pull_opt s ~max:1400);
+  Alcotest.(check (option (pair int int))) "exhausted" None (pull_opt s ~max:1400);
   check_bool "has_more false" false (s.Tcp_tx.has_more ())
 
 let test_fixed_source_respects_max () =
   let s = Tcp_tx.fixed_size_source 1000 in
-  Alcotest.(check (option (pair int int))) "clipped" (Some (0, 100)) (s.Tcp_tx.pull ~max:100)
+  Alcotest.(check (option (pair int int))) "clipped" (Some (0, 100)) (pull_opt s ~max:100)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end over an instrumented direct link *)
@@ -673,6 +721,8 @@ let () =
           Alcotest.test_case "is_covered" `Quick test_intervals_is_covered;
           Alcotest.test_case "bad range" `Quick test_intervals_bad_range;
           qt prop_intervals_match_reference;
+          Alcotest.test_case "reordered adds allocate nothing" `Quick
+            test_intervals_no_alloc;
           qt prop_intervals_contiguous_matches_reference;
         ] );
       ( "rtt",
