@@ -330,12 +330,12 @@ let () =
         [
           Alcotest.test_case "completes direct" `Quick test_mptcp_completes_direct;
           Alcotest.test_case "completes fattree" `Quick test_mptcp_completes_fattree;
-          Alcotest.test_case "at most one word per event" `Quick
-            test_mptcp_alloc_per_event;
           Alcotest.test_case "1 subflow ~ tcp" `Quick test_mptcp_single_subflow_close_to_tcp;
           Alcotest.test_case "multihomed beats tcp" `Slow test_mptcp_multihomed_beats_tcp;
           Alcotest.test_case "uncoupled" `Quick test_mptcp_uncoupled_runs;
           Alcotest.test_case "invalid subflows" `Quick test_mptcp_invalid_subflows;
           qt test_mptcp_random_loss_property;
+          Alcotest.test_case "at most one word per event" `Quick
+            test_mptcp_alloc_per_event;
         ] );
     ]
