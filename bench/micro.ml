@@ -1,9 +1,10 @@
-(* Engine micro-benchmarks: the three hot paths the timer-wheel work
-   targets, measured in isolation so a regression shows up here before
-   it shows up as minutes on the full fig1a run.
+(* Engine micro-benchmarks: the scheduler's hot paths, measured in
+   isolation so a regression shows up here before it shows up as
+   minutes on the full fig1a run.
 
    - churn:*      schedule/cancel/re-arm cost of the timer population,
-                  heap-only (tombstones) vs scheduler (wheel + Timer)
+                  bare heap (eager tombstones) vs scheduler (lazy
+                  Timer re-arm)
    - packet:*     one serialise-then-deliver hop through a Link, and a
                   complete short TCP transfer
    - fig1a:inner  one tiny-scale MMPTCP scenario — the inner loop the
@@ -30,9 +31,9 @@ open Toolkit
 let timers = 512
 let rounds = 8
 
-(* Heap-only churn: every cancel leaves a tombstone behind, every
-   re-arm is a fresh push; this is what the scheduler did before the
-   wheel, minus closure allocation. *)
+(* Bare-heap churn: every re-arm is a fresh push and leaves a tombstone
+   behind, eagerly, whatever the new time; the baseline that lazy
+   re-arm is measured against. *)
 let churn_heap () =
   let h = Event_heap.create () in
   let seq = ref 0 in
@@ -49,8 +50,9 @@ let churn_heap () =
   done
 
 (* Scheduler churn: same pattern through the real API — one re-armable
-   Timer per flow, re-armed [rounds] times; cancels unlink from the
-   wheel in O(1) instead of leaving tombstones. *)
+   Timer per flow, re-armed [rounds] times, each time later than its
+   queued cell, so a re-arm only rewrites the timer (lazy re-arm). The
+   final cancels leave stale cells for compaction and the run to clear. *)
 let churn_sched () =
   let sched = Scheduler.create () in
   let tms =

@@ -132,7 +132,8 @@ let start ~src ~dst ~size ~rng ?(strategy = Strategy.default)
           Dataplane.create ~sched ~size ~on_complete:(fun () ->
               let t = Lazy.force t in
               (* A still-armed After_time deadline must not outlive the
-                 transfer: cancel releases the timer's wheel slot. *)
+                 transfer: cancel disarms it, and its queued cell is
+                 dropped when it pops. *)
               (match t.switch_timer with
               | Some tm -> Scheduler.Timer.cancel tm
               | None -> ());

@@ -1,22 +1,23 @@
-(** Binary min-heap of timestamped events.
+(** 4-ary min-heap of [(time, seq, value)] int triples.
 
     Events are ordered by [(time, seq)] where [seq] is a strictly
     increasing insertion counter, so two events scheduled for the same
     instant fire in insertion order (FIFO tie-breaking, matching ns-3
     semantics). Times are native-int nanoseconds (see {!Sim_time}) and
-    the heap is stored as parallel (time, seq, value) arrays, so the
-    hot push/pop path allocates nothing at all. *)
+    the value is an int (the scheduler stores a slot index), so the
+    heap is one flat int array: no push, pop or sift writes a pointer,
+    and none allocates once the array has grown. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val length : t -> int
+val is_empty : t -> bool
 
-val push : 'a t -> time:int -> seq:int -> 'a -> unit
+val push : t -> time:int -> seq:int -> int -> unit
 
-val pop : 'a t -> (int * int * 'a) option
+val pop : t -> (int * int * int) option
 (** Removes and returns the earliest event. *)
 
 (** {2 Allocation-free root access}
@@ -24,29 +25,30 @@ val pop : 'a t -> (int * int * 'a) option
     The scheduler's run loop uses these instead of [pop] to avoid
     building an option-of-tuple per event. *)
 
-val top_time : 'a t -> int
+val top_time : t -> int
 (** Time of the earliest event, or [max_int] when the heap is empty
     (so an ordinary [<=] against another deadline also handles the
     empty case). *)
 
-val top_seq : 'a t -> int
+val top_seq : t -> int
 (** Sequence number of the earliest event. Only valid when non-empty. *)
 
-val top_value : 'a t -> 'a
+val top_value : t -> int
 (** Value of the earliest event. Only valid when non-empty. *)
 
-val drop : 'a t -> unit
+val drop : t -> unit
 (** Removes the earliest event. Only valid when non-empty. *)
 
-val peek_time : 'a t -> int option
+val replace_top : t -> time:int -> seq:int -> int -> unit
+(** [drop] followed by [push] in one sift. Only valid when non-empty. *)
 
-val clear : 'a t -> unit
-(** Drops every event and resets [length] to zero in one step, so
-    callers tracking per-event statistics (e.g. tombstone counts) can
-    reset them at the same point without the two drifting. *)
+val peek_time : t -> int option
 
-val compact : 'a t -> keep:(time:int -> seq:int -> 'a -> bool) -> unit
+val clear : t -> unit
+
+val compact : t -> keep:(time:int -> seq:int -> int -> bool) -> unit
 (** Removes every event [keep] rejects, in O(n) (filter + bottom-up
-    heapify). Survivors keep their exact [(time, seq)] keys, so
-    the drain order of survivors is unchanged. Shrinks the backing
-    array when survivors occupy less than a quarter of it. *)
+    heapify). [keep] is called exactly once per event. Survivors keep
+    their exact [(time, seq)] keys, so the drain order of survivors is
+    unchanged. Shrinks the backing array when survivors occupy less
+    than a quarter of it. *)

@@ -1,18 +1,17 @@
 (** Discrete-event scheduler.
 
-    The scheduler owns the virtual clock and two pending-event
-    structures: a binary heap for the near-future event stream and a
-    hierarchical timing wheel ({!Timer_wheel}) for the far-future timer
-    population (RTO, delayed ACK) that is almost always cancelled or
-    re-armed before firing. [run] drains [min(heap-peek, wheel-peek)]:
-    due wheel slots are handed to the heap, which restores exact
-    [(time, seq)] order, so firing order — and therefore experiment
-    output — is identical to a heap-only scheduler. Events scheduled
-    for the same instant fire in the order they were scheduled.
+    The scheduler owns the virtual clock and one pending-event
+    structure: a 4-ary min-heap of [(time, seq, slot)] int triples
+    ({!Event_heap}) over a per-scheduler slot table of entries. [run]
+    pops in exact [(time, seq)] order, so events scheduled for the
+    same instant fire in the order they were scheduled.
 
-    Cancellation is O(1) in both structures: a wheel entry unlinks
-    immediately; a heap entry leaves a tombstone that is skipped when
-    popped and compacted away when tombstones dominate.
+    Re-arming a {!Timer} at or after the time of its queued heap cell
+    only rewrites the timer's fields; when that cell pops, the timer is
+    queued again at its current key. A re-arm to an earlier time, or a
+    cancel, leaves the old cell behind as a stale cell, skipped when
+    popped and compacted away when stale cells dominate. Every event
+    still fires at exactly its own [(time, seq)] key.
 
     Events are armed through one of two handles, neither of which
     allocates per event: a re-armable {!Timer} (one entry for its
@@ -36,22 +35,23 @@ val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
     event lies strictly beyond [until], or after [max_events] events. *)
 
 val pending_events : t -> int
-(** Events that will still fire: heap entries net of cancelled
-    tombstones, plus wheel residents. A backlog consisting only of
-    cancelled events reports zero. *)
+(** Events that will still fire: pending {!Timer}s plus armed
+    {!Event} cells. A backlog consisting only of stale cells reports
+    zero. *)
 
 val heap_pending : t -> int
-(** Live events resident in the near-future heap (net of tombstones).
-    With {!wheel_pending} this splits {!pending_events} by structure —
-    exposed for the {!Probe} sampler's scheduler self-profiling. *)
+(** Armed {!Event} cells. With {!wheel_pending} this splits
+    {!pending_events} by handle — exposed for the {!Probe} sampler's
+    scheduler self-profiling, under names kept from the engine's
+    earlier heap-plus-timing-wheel layout. *)
 
 val wheel_pending : t -> int
-(** Live timers resident in the far-future wheel. *)
+(** Pending {!Timer}s. *)
 
 val cancelled_pending : t -> int
-(** Cancelled events still buried in the heap as tombstones (the
-    compaction heuristic's input). Excludes wheel cancellations, which
-    unlink immediately. *)
+(** Stale cells still queued in the heap: the cells of cancelled
+    entries and of entries since re-armed to an earlier time (the
+    compaction heuristic's input). *)
 
 val events_processed : t -> int
 
@@ -73,7 +73,7 @@ val event_cells_free : t -> int
     next re-arm. Each re-arm consumes one scheduling sequence number,
     exactly like an {!Event} arm, so same-instant timers and events
     fire in the order they were armed. Raises [Invalid_argument] if
-    the time is in the past.
+    the time is in the past, leaving any pending occurrence in place.
 
     [create sched fire state] takes the fire function and its state
     separately so call sites pass a statically-allocated function

@@ -3,7 +3,7 @@
     Time is an absolute count of nanoseconds since the start of the
     simulation, stored as a native [int] (63 bits holds ~146 years of
     nanoseconds). The native representation is deliberate: unlike
-    [int64] it is unboxed, so times held in heap cells, timer-wheel
+    [int64] it is unboxed, so times held in heap cells, scheduler
     entries and packet records are immediate words and hot-path
     arithmetic does not allocate. All public constructors and
     accessors go through this module so that the unit is impossible to

@@ -46,16 +46,16 @@ let test_time_pp () =
 
 let test_heap_ordering () =
   let h = Event_heap.create () in
-  Event_heap.push h ~time:30 ~seq:0 "c";
-  Event_heap.push h ~time:10 ~seq:1 "a";
-  Event_heap.push h ~time:20 ~seq:2 "b";
+  Event_heap.push h ~time:30 ~seq:0 3;
+  Event_heap.push h ~time:10 ~seq:1 1;
+  Event_heap.push h ~time:20 ~seq:2 2;
   let pop () =
-    match Event_heap.pop h with Some (_, _, v) -> v | None -> "?"
+    match Event_heap.pop h with Some (_, _, v) -> v | None -> -1
   in
   let first = pop () in
   let second = pop () in
   let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ]
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] [ first; second; third ]
 
 let test_heap_fifo_ties () =
   let h = Event_heap.create () in
@@ -75,7 +75,7 @@ let test_heap_empty () =
 
 let test_heap_clear () =
   let h = Event_heap.create () in
-  Event_heap.push h ~time:1 ~seq:0 ();
+  Event_heap.push h ~time:1 ~seq:0 0;
   Event_heap.clear h;
   check_int "cleared" 0 (Event_heap.length h)
 
@@ -110,88 +110,144 @@ let test_heap_compact () =
   check_bool "still sorted after compact" true (keys = List.sort compare keys)
 
 (* ------------------------------------------------------------------ *)
-(* Timer_wheel: equivalence with a plain sorted structure *)
+(* Scheduler traces against a sorted reference *)
 
-module Timer_wheel = Sim_engine.Timer_wheel
+(* One step of a random trace over [trace_timers] re-armable timers and
+   one Event pool. Delays are relative to the clock at the step, so a
+   timer re-arm lands earlier or later than its pending occurrence at
+   random; the small-delay half makes same-instant ties common. *)
+type op =
+  | Timer_arm of int * int  (* timer, delay ns *)
+  | Timer_cancel of int
+  | Event_arm of int  (* delay ns *)
+  | Event_cancel of int  (* index into the pending cells *)
+  | Run_until of int  (* delay ns *)
+  | Run_max of int
 
-(* Drive a wheel (with the scheduler's heap-handoff protocol) and a
-   reference list through the same random schedule/cancel/advance
-   trace; both must fire the same events in the same (time, seq)
-   order. Times are spread across wheel levels by shifting, so the
-   trace exercises cascades, clamping and the level-0 cutoff. *)
+let trace_timers = 16
+
+let trace_arb =
+  let open QCheck.Gen in
+  let delay = oneof [ int_bound 50; int_bound 5_000_000 ] in
+  let op =
+    frequency
+      [
+        (5, map2 (fun k d -> Timer_arm (k, d)) (int_bound (trace_timers - 1)) delay);
+        (2, map (fun k -> Timer_cancel k) (int_bound (trace_timers - 1)));
+        (4, map (fun d -> Event_arm d) delay);
+        (2, map (fun j -> Event_cancel j) (int_bound 1000));
+        (1, map (fun d -> Run_until d) (int_bound 3_000_000));
+        (1, map (fun n -> Run_max n) (int_bound 8));
+      ]
+  in
+  let print = function
+    | Timer_arm (k, d) -> Printf.sprintf "T%d@+%d" k d
+    | Timer_cancel k -> Printf.sprintf "cancel T%d" k
+    | Event_arm d -> Printf.sprintf "E@+%d" d
+    | Event_cancel j -> Printf.sprintf "cancel E#%d" j
+    | Run_until d -> Printf.sprintf "run until +%d" d
+    | Run_max n -> Printf.sprintf "run max %d" n
+  in
+  QCheck.make ~print:QCheck.Print.(list print) (list_size (0 -- 400) op)
+
+(* Drive the scheduler and a sorted-list model through [ops], then drain
+   both. The model keeps every pending occurrence as (time, seq, id):
+   timers are ids [0, trace_timers), events take fresh ids above. It
+   fires in (time, seq) order and moves its clock exactly as [run]
+   does. [check s ~timers ~events] runs after every step with the
+   model's pending counts. True when both fired the same (time, id)
+   log and every check held. *)
+let trace_matches_model ?(check = fun _ ~timers:_ ~events:_ -> true) ops =
+  let s = Scheduler.create () in
+  let log = ref [] in
+  let record id = log := (Time.to_ns (Scheduler.now s), id) :: !log in
+  let cells = Hashtbl.create 16 in
+  let pool =
+    Scheduler.Event.pool s ~fire:(fun id ->
+        Hashtbl.remove cells id;
+        record id)
+  in
+  let timers =
+    Array.init trace_timers (fun k -> Scheduler.Timer.create s record k)
+  in
+  let now = ref 0 and seq = ref 0 and next_id = ref trace_timers in
+  let pending = ref [] and expected = ref [] in
+  let remove id = pending := List.filter (fun (_, _, i) -> i <> id) !pending in
+  let arm id time =
+    remove id;
+    pending := (time, !seq, id) :: !pending;
+    incr seq
+  in
+  (* Fire up to [budget] due occurrences (time <= [horizon]). *)
+  let fire ~horizon ~budget =
+    let due =
+      List.sort compare (List.filter (fun (t, _, _) -> t <= horizon) !pending)
+    in
+    let rec go n = function
+      | (t, _, id) :: rest when n > 0 ->
+        remove id;
+        now := t;
+        expected := (t, id) :: !expected;
+        go (n - 1) rest
+      | _ -> ()
+    in
+    go budget due
+  in
+  let ok = ref true in
+  List.iter
+    (fun op ->
+      (match op with
+      | Timer_arm (k, d) ->
+        Scheduler.Timer.schedule_at timers.(k) (Time.of_ns (!now + d));
+        arm k (!now + d)
+      | Timer_cancel k ->
+        Scheduler.Timer.cancel timers.(k);
+        remove k
+      | Event_arm d ->
+        let id = !next_id in
+        incr next_id;
+        Hashtbl.replace cells id
+          (Scheduler.Event.schedule_at pool (Time.of_ns (!now + d)) id);
+        arm id (!now + d)
+      | Event_cancel j ->
+        let live =
+          List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) cells [])
+        in
+        if live <> [] then begin
+          let id = List.nth live (j mod List.length live) in
+          let back = Scheduler.Event.cancel pool (Hashtbl.find cells id) in
+          if back <> Some id then ok := false;
+          Hashtbl.remove cells id;
+          remove id
+        end
+      | Run_until d ->
+        let u = !now + d in
+        Scheduler.run ~until:(Time.of_ns u) s;
+        fire ~horizon:u ~budget:max_int;
+        now := u
+      | Run_max n ->
+        Scheduler.run ~max_events:n s;
+        fire ~horizon:max_int ~budget:n);
+      let n = List.length !pending in
+      let nt =
+        List.length (List.filter (fun (_, _, id) -> id < trace_timers) !pending)
+      in
+      if Time.to_ns (Scheduler.now s) <> !now
+         || Scheduler.pending_events s <> n
+         || not (check s ~timers:nt ~events:(n - nt))
+      then ok := false)
+    ops;
+  Scheduler.run s;
+  fire ~horizon:max_int ~budget:max_int;
+  !ok && List.rev !log = List.rev !expected && Scheduler.pending_events s = 0
+
+(* Timer re-arms to earlier and later times, cancels, Event arms and
+   cancels, and runs bounded by [until] and [max_events], all against
+   the sorted reference: same firing log, same clock and pending count
+   after every step. *)
 let prop_wheel_matches_heap =
   QCheck.Test.make ~name:"wheel + handoff heap matches sorted reference"
-    ~count:200
-    QCheck.(list (pair (int_bound 4000) bool))
-    (fun trace ->
-      let wheel = Timer_wheel.create () in
-      let heap = Event_heap.create () in
-      let fired_wheel = ref [] in
-      let emit (e : Timer_wheel.entry) =
-        (* Late emission would be a wheel bug: the slot containing the
-           entry must not start after the entry's exact due time. *)
-        assert (Timer_wheel.cursor_ns wheel <= e.time);
-        e.state <- Timer_wheel.st_heap;
-        Event_heap.push heap ~time:e.time ~seq:e.seq e
-      in
-      let reference = ref [] in
-      let entries =
-        List.mapi
-          (fun i (t0, cancel) ->
-            (* Spread times across levels: every other event is shifted
-               up 8 bits so some land beyond level 0's span. *)
-            let time = 2048 + (t0 lsl (8 * (i mod 2))) in
-            let e = Timer_wheel.make_entry ignore () in
-            e.time <- time;
-            e.seq <- i;
-            if not (Timer_wheel.schedule wheel e) then begin
-              e.state <- Timer_wheel.st_heap;
-              Event_heap.push heap ~time ~seq:i e
-            end;
-            (e, time, cancel))
-          trace
-      in
-      (* Cancel the marked ones: wheel residents unlink in O(1);
-         heap residents become tombstones exactly as in the
-         scheduler's [detach]. *)
-      List.iter
-        (fun ((e : Timer_wheel.entry), time, cancel) ->
-          if cancel then begin
-            if e.state = Timer_wheel.st_wheel then Timer_wheel.cancel wheel e
-            else if e.state = Timer_wheel.st_heap then
-              e.state <- Timer_wheel.st_idle
-          end
-          else reference := (time, e.seq) :: !reference)
-        entries;
-      (* Advance in uneven steps well past the largest time. *)
-      let horizon = 2048 + (4000 lsl 8) + 10_000 in
-      let step = ref 0 in
-      while Timer_wheel.cursor_ns wheel < horizon do
-        let upto =
-          min horizon (Timer_wheel.cursor_ns wheel + 700 + (!step * 1013))
-        in
-        incr step;
-        Timer_wheel.advance wheel ~upto ~emit;
-        (* Drain everything the heap holds up to the cursor, as the
-           scheduler's run loop would. *)
-        while
-          Event_heap.top_time heap <> max_int
-          && Event_heap.top_time heap <= Timer_wheel.cursor_ns wheel
-        do
-          let t = Event_heap.top_time heap in
-          let s = Event_heap.top_seq heap in
-          let (e : Timer_wheel.entry) = Event_heap.top_value heap in
-          Event_heap.drop heap;
-          if e.state = Timer_wheel.st_heap && e.seq = s then begin
-            e.state <- Timer_wheel.st_fired;
-            fired_wheel := (t, s) :: !fired_wheel
-          end
-        done
-      done;
-      (* Anything still in the heap is due after the horizon — but the
-         horizon exceeds every event time, so both sides must be done. *)
-      let expected = List.sort compare (List.rev !reference) in
-      List.rev !fired_wheel = expected)
+    ~count:200 trace_arb trace_matches_model
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
@@ -304,8 +360,8 @@ let test_scheduler_counts () =
   check_int "processed" 2 (Scheduler.events_processed s)
 
 (* Random schedule/cancel trace against a sorted-list model: the
-   scheduler (wheel + heap + tombstones underneath) must fire exactly
-   the non-cancelled events in (time, arm-order) order. Each arm goes
+   scheduler (heap, lazy re-arm and stale cells underneath) must fire
+   exactly the non-cancelled events in (time, arm-order) order. Each arm goes
    through an Event pool cell or its own Timer, as the trace says, so
    the two handles must interleave by one shared seq. Cancels happen
    during the run, from an event armed earlier than the victim. *)
@@ -350,6 +406,18 @@ let prop_scheduler_matches_model =
         arms;
       Scheduler.run s;
       List.rev !fired = List.sort compare !expected)
+
+(* The probe's two scheduler gauges split [pending_events] exactly:
+   [heap_pending] counts armed Event cells and [wheel_pending] pending
+   Timers, after every step of a random trace. *)
+let prop_pending_split =
+  QCheck.Test.make ~name:"heap_pending + wheel_pending = pending_events"
+    ~count:200 trace_arb
+    (trace_matches_model ~check:(fun s ~timers ~events ->
+         Scheduler.heap_pending s = events
+         && Scheduler.wheel_pending s = timers
+         && Scheduler.heap_pending s + Scheduler.wheel_pending s
+            = Scheduler.pending_events s))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler.Timer *)
@@ -397,6 +465,52 @@ let test_timer_seq_interleaving () =
     [ "timer"; "oneshot"; "oneshot2"; "timer" ]
     (List.rev !log)
 
+let test_timer_rejected_rearm_keeps_pending () =
+  (* A re-arm into the past raises and leaves the pending occurrence
+     exactly as it was. *)
+  let s = Scheduler.create () in
+  let log = ref [] in
+  let tm =
+    Scheduler.Timer.create s (fun () -> log := Time.to_ms (Scheduler.now s) :: !log) ()
+  in
+  Scheduler.Timer.schedule_at tm (Time.of_ms 5.);
+  Scheduler.run ~until:(Time.of_ms 2.) s;
+  Alcotest.check_raises "past re-arm"
+    (Invalid_argument "Scheduler.Timer.schedule_at: time is in the past")
+    (fun () -> Scheduler.Timer.schedule_at tm (Time.of_ms 1.));
+  check_bool "still pending" true (Scheduler.Timer.is_pending tm);
+  Scheduler.run s;
+  Alcotest.(check (list (float 1e-6))) "fires at 5 ms" [ 5. ] !log
+
+let test_timer_stale_cells_bounded () =
+  (* 100 timers armed far out, then 10,000 re-arms, each to a time
+     earlier than the timer's pending one: every re-arm leaves a stale
+     cell behind, and compaction must keep them within 2 x live + 64. *)
+  let s = Scheduler.create () in
+  let fired = ref 0 in
+  let n = 100 in
+  let tms = Array.init n (fun _ -> Scheduler.Timer.create s incr fired) in
+  let due = Array.make n 0 in
+  Array.iteri
+    (fun i tm ->
+      due.(i) <- 1_000_000_000 + i;
+      Scheduler.Timer.schedule_at tm (Time.of_ns due.(i)))
+    tms;
+  for k = 0 to 9_999 do
+    let i = (k * 37) mod n in
+    due.(i) <- due.(i) - 1 - (k mod 7);
+    Scheduler.Timer.schedule_at tms.(i) (Time.of_ns due.(i));
+    let stale = Scheduler.cancelled_pending s
+    and live = Scheduler.pending_events s in
+    if stale > (2 * live) + 64 then
+      Alcotest.failf "after %d re-arms: %d stale cells beside %d live" (k + 1)
+        stale live
+  done;
+  check_int "every timer pending once" n (Scheduler.pending_events s);
+  Scheduler.run s;
+  check_int "each fired once" n !fired;
+  check_int "no stale cells after run" 0 (Scheduler.cancelled_pending s)
+
 let test_scheduler_tombstones_and_compaction () =
   let s = Scheduler.create () in
   let p = Scheduler.Event.pool s ~fire:ignore in
@@ -420,8 +534,8 @@ let test_scheduler_tombstones_and_compaction () =
   check_int "no tombstones after run" 0 (Scheduler.cancelled_pending s)
 
 let test_scheduler_far_future () =
-  (* An event beyond the wheel's ~9.8 h span takes the clamp path and
-     re-dispatches as the cursor reaches it; order is preserved. *)
+  (* An event 50,000 s out, far beyond every other, still fires in
+     order and moves the clock there. *)
   let s = Scheduler.create () in
   let log = ref [] in
   let p = Scheduler.Event.pool s ~fire:(fun tag -> log := tag :: !log) in
@@ -752,34 +866,53 @@ let test_rng_golden () =
 
 let alloc_slack = 64.
 
-(* Arm every entry 1 us to ~16 ms ahead (levels 0-2, so arms search
-   levels and advances cascade), then advance past them all. *)
-let wheel_round w entries emit r =
-  let base = Timer_wheel.cursor_ns w in
-  for i = 0 to Array.length entries - 1 do
-    let e = entries.(i) in
-    e.Timer_wheel.time <- base + 1024 + (((i * 104_729) + (r * 7_919)) land 0xFF_FFFF);
-    e.Timer_wheel.seq <- i;
-    if not (Timer_wheel.schedule w e) then emit e
+(* One round over 64 timers and one Event pool: each timer is armed
+   1 us to ~16 ms ahead, re-armed later (a lazy re-arm), then re-armed
+   earlier (a fresh cell; the old one goes stale), and every other one
+   is cancelled; each round also arms 64 events and cancels every
+   fourth. Stale cells pass the compaction threshold midway through
+   every round. The run then fires the rest, popping the stale cells
+   and re-queueing the lazily re-armed timers on the way. *)
+let sched_round s timers pool r =
+  let base = Time.to_ns (Scheduler.now s) in
+  for i = 0 to Array.length timers - 1 do
+    let tm = timers.(i) in
+    let d = 1024 + (((i * 104_729) + (r * 7_919)) land 0xFF_FFFF) in
+    Scheduler.Timer.schedule_at tm (Time.of_ns (base + d));
+    Scheduler.Timer.schedule_at tm (Time.of_ns (base + d + 512));
+    Scheduler.Timer.schedule_at tm (Time.of_ns (base + (d / 2)));
+    if i land 1 = 1 then Scheduler.Timer.cancel tm;
+    let c = Scheduler.Event.schedule_at pool (Time.of_ns (base + d)) i in
+    if i land 3 = 1 then
+      match Scheduler.Event.cancel pool c with
+      | Some _ -> ()
+      | None -> Alcotest.fail "armed cell not cancelled"
   done;
-  Timer_wheel.advance w ~upto:(base + 0x200_0000) ~emit
+  Scheduler.run s
 
 let test_wheel_no_alloc () =
-  let w = Timer_wheel.create () in
-  let entries = Array.init 64 (fun _ -> Timer_wheel.make_entry ignore ()) in
-  let emitted = ref 0 in
-  let emit (_ : Timer_wheel.entry) = incr emitted in
+  let s = Scheduler.create () in
+  let fired = ref 0 in
+  let timers = Array.init 64 (fun _ -> Scheduler.Timer.create s incr fired) in
+  let pool = Scheduler.Event.pool s ~fire:(fun (_ : int) -> incr fired) in
   for r = 0 to 9 do
-    wheel_round w entries emit r
+    sched_round s timers pool r
   done;
   let w0 = Gc.minor_words () in
   for r = 10 to 1009 do
-    wheel_round w entries emit r
+    sched_round s timers pool r
   done;
   let dw = Gc.minor_words () -. w0 in
-  check_int "every arm emitted" (1010 * 64) !emitted;
-  if dw > alloc_slack then
-    Alcotest.failf "64,000 wheel arms and advances allocated %.0f minor words" dw
+  check_int "every live arm fired" (1010 * 80) !fired;
+  check_int "nothing left behind" 0 (Scheduler.cancelled_pending s);
+  (* [Event.cancel] hands the payload back in a [Some]: two words per
+     cancel are the API's, not the scheduler's. *)
+  let cancel_words = 2. *. 1000. *. 16. in
+  if dw > cancel_words +. alloc_slack then
+    Alcotest.failf
+      "1,000 rounds of timer and event arms, re-arms, cancels and fires \
+       allocated %.0f minor words beyond the cancels' options"
+      (dw -. cancel_words)
 
 let test_rng_no_alloc () =
   let r = Rng.create ~seed:9 in
@@ -847,11 +980,16 @@ let () =
             test_scheduler_tombstones_and_compaction;
           Alcotest.test_case "far-future clamp" `Quick test_scheduler_far_future;
           qt prop_scheduler_matches_model;
+          qt prop_pending_split;
         ] );
       ( "timer",
         [
           Alcotest.test_case "cancel and re-arm" `Quick test_timer_cancel_rearm;
           Alcotest.test_case "seq interleaving" `Quick test_timer_seq_interleaving;
+          Alcotest.test_case "rejected re-arm keeps the pending occurrence" `Quick
+            test_timer_rejected_rearm_keeps_pending;
+          Alcotest.test_case "stale cells within 2 x live + 64" `Quick
+            test_timer_stale_cells_bounded;
         ] );
       ( "event_pool",
         [
