@@ -47,16 +47,17 @@ let rec trigger_switch t =
     Sim_obs.Flow_ledger.on_phase_switch
       (Sim_engine.Sim_ctx.ledger (Scheduler.ctx t.sched))
       ~conn:t.conn;
-    Sim_obs.Metrics.emit
-      (Sim_engine.Sim_ctx.metrics (Scheduler.ctx t.sched))
-      ~kind:"phase_switch" ~conn:t.conn
-      ~info:
-        [
-          ("to", "multipath");
-          ("subflows", string_of_int t.strategy.Strategy.subflows);
-          ("assigned", string_of_int (Dataplane.assigned t.plane));
-        ]
-      ();
+    (let m = Sim_engine.Sim_ctx.metrics (Scheduler.ctx t.sched) in
+     (* The info list would allocate before [emit]'s own guard ran. *)
+     if Sim_obs.Metrics.active m then
+       Sim_obs.Metrics.emit m ~kind:"phase_switch" ~conn:t.conn
+         ~info:
+           [
+             ("to", "multipath");
+             ("subflows", string_of_int t.strategy.Strategy.subflows);
+             ("assigned", string_of_int (Dataplane.assigned t.plane));
+           ]
+         ());
     (match t.switch_timer with
     | Some tm -> Scheduler.Timer.cancel tm
     | None -> ());

@@ -55,7 +55,7 @@ type 'a flow = {
 }
 
 type 'a t = {
-  on_rate : 'a flow -> unit;
+  on_rate : 'a flow array -> int -> unit;
   eps : float;  (* relative rate-change threshold for commit/callback *)
   max_waves : int;
   nlinks : int;
@@ -206,14 +206,15 @@ let remove_member t ~link_idx ~slot =
   if slot <> last then begin
     let moved = t.l_members.(link_idx).(last) in
     t.l_members.(link_idx).(slot) <- moved;
-    let patched = ref false in
-    Array.iteri
-      (fun j li ->
-        if (not !patched) && li = link_idx && moved.f_slots.(j) = last then begin
-          moved.f_slots.(j) <- slot;
-          patched := true
-        end)
-      moved.f_path
+    let path = moved.f_path in
+    let j = ref 0 in
+    while !j < Array.length path do
+      if path.(!j) = link_idx && moved.f_slots.(!j) = last then begin
+        moved.f_slots.(!j) <- slot;
+        j := Array.length path
+      end
+      else incr j
+    done
   end;
   t.l_n.(link_idx) <- last
 
@@ -232,14 +233,14 @@ let add t ~weight ~path ~data =
       f_frozen = false;
     }
   in
-  if Array.length f.f_path = 0 then f.f_st.fs_rate <- unconstrained_rate
+  let path = f.f_path in
+  if Array.length path = 0 then f.f_st.fs_rate <- unconstrained_rate
   else begin
     t.s_live <- t.s_live + 1;
-    Array.iteri
-      (fun j li ->
-        f.f_slots.(j) <- push_member t li f;
-        mark_members_dirty t li)
-      f.f_path;
+    for j = 0 to Array.length path - 1 do
+      f.f_slots.(j) <- push_member t path.(j) f;
+      mark_members_dirty t path.(j)
+    done;
     mark_dirty t f
   end;
   f
@@ -247,14 +248,15 @@ let add t ~weight ~path ~data =
 let remove t ~now f =
   if not f.f_dead then begin
     f.f_dead <- true;
-    if Array.length f.f_path > 0 then t.s_live <- t.s_live - 1;
-    Array.iteri
-      (fun j li ->
-        remove_member t ~link_idx:li ~slot:f.f_slots.(j);
-        advance_integral t li ~now;
-        t.l_alloc.(li) <- t.l_alloc.(li) -. f.f_st.fs_rate;
-        mark_members_dirty t li)
-      f.f_path;
+    let path = f.f_path in
+    if Array.length path > 0 then t.s_live <- t.s_live - 1;
+    for j = 0 to Array.length path - 1 do
+      let li = path.(j) in
+      remove_member t ~link_idx:li ~slot:f.f_slots.(j);
+      advance_integral t li ~now;
+      t.l_alloc.(li) <- t.l_alloc.(li) -. f.f_st.fs_rate;
+      mark_members_dirty t li
+    done;
     f.f_st.fs_rate <- 0.
   end
 
@@ -262,7 +264,9 @@ let set_weight t f w =
   if w <= 0. then invalid_arg "Alloc.set_weight: weight must be positive";
   if (not f.f_dead) && f.f_st.fs_weight <> w then begin
     f.f_st.fs_weight <- w;
-    Array.iter (fun li -> mark_members_dirty t li) f.f_path;
+    for j = 0 to Array.length f.f_path - 1 do
+      mark_members_dirty t f.f_path.(j)
+    done;
     mark_dirty t f
   end
 
@@ -277,7 +281,7 @@ let tiny = 1e-9
 
 (* The current fill level a link offers its unfrozen wave members;
    [infinity] once no unfrozen weight remains. *)
-let link_level t li =
+let[@inline] link_level t li =
   if t.l_wsum.(li) > tiny then
     Float.max 0. t.l_residual.(li) /. t.l_wsum.(li)
   else infinity
@@ -293,7 +297,7 @@ let heap_swap t i j =
   t.h_lvl.(j) <- lvl;
   t.h_li.(j) <- li
 
-let heap_push t lvl li =
+let[@inline] heap_push t lvl li =
   if t.h_n = Array.length t.h_lvl then begin
     let n = 2 * t.h_n in
     let lvls = Array.make n 0. and lis = Array.make n 0 in
@@ -516,7 +520,10 @@ let flush t ~now =
          re-dirtying them would only churn. *)
       t.t_n <- 0;
       for i = 0 to t.c_n - 1 do
-        Array.iter (fun li -> touch_link t li) t.c_arr.(i).f_path
+        let path = t.c_arr.(i).f_path in
+        for j = 0 to Array.length path - 1 do
+          touch_link t path.(j)
+        done
       done;
       for i = 0 to t.t_n - 1 do
         let li = t.t_arr.(i) in
@@ -530,20 +537,19 @@ let flush t ~now =
         end;
         t.l_dalloc.(li) <- 0.
       done;
-      (* Callbacks last, in queue order, after all rates of the wave are
+      (* One batch callback last, after all rates of the wave are
          committed — a callback reading a sibling leg sees final
          values. *)
-      for i = 0 to t.c_n - 1 do
-        t.on_rate t.c_arr.(i)
-      done
+      if t.c_n > 0 then t.on_rate t.c_arr t.c_n
     end
   done
 
-(* Local pass: level just [flows] against the frozen rest and fire
-   their callbacks. No ripple — the mutation that preceded this
-   already queued the first-order neighbours for the next [flush];
-   resetting the touched links' [l_dalloc] here keeps the flush-time
-   ripple gate measuring only changes it has not yet seen. *)
+(* Local pass: level just [flows] against the frozen rest and pass
+   the changed ones to the callback. No ripple — the mutation that
+   preceded this already queued the first-order neighbours for the
+   next [flush]; resetting the touched links' [l_dalloc] here keeps
+   the flush-time ripple gate measuring only changes it has not yet
+   seen. *)
 let settle t ~now flows =
   let n = Array.length flows in
   if n > 0 then begin
@@ -553,9 +559,7 @@ let settle t ~now flows =
     for i = 0 to t.t_n - 1 do
       t.l_dalloc.(t.t_arr.(i)) <- 0.
     done;
-    for i = 0 to t.c_n - 1 do
-      t.on_rate t.c_arr.(i)
-    done
+    if t.c_n > 0 then t.on_rate t.c_arr t.c_n
   end
 
 let pending_dirty t =

@@ -33,13 +33,18 @@ val create :
   ?eps:float ->
   ?max_waves:int ->
   caps:float array ->
-  on_rate:('a flow -> unit) ->
+  on_rate:('a flow array -> int -> unit) ->
   unit ->
   'a t
 (** [caps.(id)] is the capacity in bps of link [id] (positive).
-    [on_rate] is invoked from [flush] for every flow whose committed
-    rate changed by more than [eps] (relative, default 1e-3), after
-    the whole wave is committed. [eps] also gates ripple: a link
+    [on_rate flows n] is invoked once per water-filling wave of
+    [flush] and [settle] that changed anything: the [n]-prefix of
+    [flows] holds exactly the flows whose committed rate changed by
+    more than [eps] (relative, default 1e-3), each once, in queue
+    order, and the whole wave is committed before the call. [flows]
+    is the allocator's scratch: it is valid only during the call and
+    must be neither kept nor written. The callback must not mutate
+    the allocator. [eps] also gates ripple: a link
     whose total allocation moved by less than [eps * cap] does not
     re-dirty its members. [max_waves] (default 3) bounds ripple
     propagation per flush; residual dirtiness carries over to the
@@ -63,18 +68,18 @@ val set_avail : 'a t -> link:int -> float -> unit
     capacity minus measured packet-level throughput). *)
 
 val flush : 'a t -> now:float -> unit
-(** Recompute rates for everything dirty, firing [on_rate] for
-    material changes. [now] in seconds timestamps utilisation
-    integrals. *)
+(** Recompute rates for everything dirty, passing each wave's
+    material changes to [on_rate]. [now] in seconds timestamps
+    utilisation integrals. *)
 
 val settle : 'a t -> now:float -> 'a flow array -> unit
 (** Water-fill just [flows] (in array order, alive) against the rest of the
-    population frozen at its committed rates, firing their [on_rate]
-    callbacks — the cheap local pass a connection start runs to get
-    an accurate initial rate without paying for global ripple.
-    Neighbours dirtied by the mutation stay queued for the next
-    [flush]. At light load (no competition on the touched links) the
-    result already is the max-min rate. *)
+    population frozen at its committed rates, passing the changed ones
+    to [on_rate] in one batch — the cheap local pass a connection start
+    runs to get an accurate initial rate without paying for global
+    ripple. Neighbours dirtied by the mutation stay queued for the
+    next [flush]. At light load (no competition on the touched links)
+    the result already is the max-min rate. *)
 
 val data : 'a flow -> 'a
 val rate : 'a flow -> float

@@ -38,6 +38,23 @@ type switch_spec = {
 
 type state = Handshake | Running | Draining | Finished
 
+(* A connection's numeric state. All-float, so OCaml stores it flat
+   and every update below is a plain store: a mutable float field of
+   the mixed [conn] record would box on every write. *)
+type fstate = {
+  mutable remaining : float;  (* bytes *)
+  mutable sent : float;  (* bytes, includes [done_bytes] offset *)
+  mutable rate : float;  (* effective send rate, bytes/s *)
+  mutable alloc_bps : float;  (* aggregate allocation, bits/s *)
+  mutable last_t : float;  (* seconds of last integration *)
+  mutable ss_cap : float;  (* slow-start rate cap, bytes/s *)
+  mutable next_double : float;  (* absolute s; infinity when done *)
+  (* Triggers of the pending phase switch; infinity when there is
+     none, or once it has happened. *)
+  mutable sw_bytes : float;  (* bytes *)
+  mutable sw_at : float;  (* absolute s *)
+}
+
 type conn = {
   c_id : int;
   c_t : t;
@@ -46,18 +63,13 @@ type conn = {
   c_slow_start : bool;
   c_on_complete : conn -> unit;
   c_started : Time.t;
+  c_f : fstate;
   mutable c_state : state;
   mutable c_leg_specs : leg_spec array;  (* pending until Running *)
   mutable c_legs : conn Alloc.flow array;
-  mutable c_remaining : float;  (* bytes *)
-  mutable c_done : float;  (* bytes, includes [done_bytes] offset *)
-  mutable c_rate : float;  (* effective send rate, bytes/s *)
-  mutable c_alloc_bps : float;  (* aggregate allocation, bits/s *)
-  mutable c_last_t : float;  (* seconds of last integration *)
-  mutable c_ss_cap : float;  (* slow-start rate cap, bytes/s *)
-  mutable c_next_double : float;  (* absolute s; infinity when done *)
   mutable c_switch : switch_spec option;
   mutable c_switched : bool;
+  mutable c_batch : int;  (* changed legs left in the current batch *)
   mutable c_timer : Scheduler.Timer.t option;
   mutable c_completed : Time.t option;
 }
@@ -81,20 +93,30 @@ let byte_tol = 1.0
 
 let now_s t = Time.to_sec (Scheduler.now t.sched)
 
-let aggregate_bps c =
-  Array.fold_left (fun acc f -> acc +. Alloc.rate f) 0. c.c_legs
+(* A refresh runs once per changed connection per allocator wave. The
+   helpers it calls are [@inline] so that no float is boxed to cross a
+   call (DESIGN.md §4m). The sum is a loop rather than a fold for the
+   same reason; it runs from 0. in leg order. *)
+let[@inline] aggregate_bps c =
+  let legs = c.c_legs in
+  let sum = ref 0. in
+  for i = 0 to Array.length legs - 1 do
+    sum := !sum +. Alloc.rate legs.(i)
+  done;
+  !sum
 
-let effective_rate c = Float.min (c.c_alloc_bps /. 8.) c.c_ss_cap
+let[@inline] effective_rate f = Float.min (f.alloc_bps /. 8.) f.ss_cap
 
-let integrate c ~now =
-  if now > c.c_last_t then begin
+let[@inline] integrate c ~now =
+  let f = c.c_f in
+  if now > f.last_t then begin
     (match c.c_state with
     | Running ->
-      let sent = Float.min (c.c_rate *. (now -. c.c_last_t)) c.c_remaining in
-      c.c_remaining <- c.c_remaining -. sent;
-      c.c_done <- c.c_done +. sent
+      let sent = Float.min (f.rate *. (now -. f.last_t)) f.remaining in
+      f.remaining <- f.remaining -. sent;
+      f.sent <- f.sent +. sent
     | Handshake | Draining | Finished -> ());
-    c.c_last_t <- now
+    f.last_t <- now
   end
 
 let the_timer c = match c.c_timer with Some tm -> tm | None -> assert false
@@ -127,7 +149,7 @@ let on_flush_timer t =
 (* Arm the connection's timer at an absolute float-second deadline
    (clamped to now; +1 ns absorbs of_sec truncation so the fire lands
    at-or-after the analytic instant). *)
-let arm_at c time_s =
+let[@inline] arm_at c time_s =
   let target =
     Time.max
       (Time.add (Time.of_sec time_s) (Time.of_ns 1))
@@ -135,45 +157,24 @@ let arm_at c time_s =
   in
   Scheduler.Timer.schedule_at (the_timer c) target
 
-let switch_bytes_trigger c =
-  if c.c_switched then None
-  else
-    match c.c_switch with
-    | Some { sw_plan = { Mmptcp.Strategy.switch_after_bytes = Some v; _ }; _ }
-      ->
-      Some (float_of_int v)
-    | Some _ | None -> None
-
-let switch_time_trigger c =
-  if c.c_switched then None
-  else
-    match c.c_switch with
-    | Some { sw_plan = { Mmptcp.Strategy.switch_after_time = Some d; _ }; _ } ->
-      Some (Time.to_sec c.c_started +. Time.to_sec d)
-    | Some _ | None -> None
-
-let re_arm c ~now =
+let[@inline] re_arm c ~now =
   match c.c_state with
   | Running ->
+    let f = c.c_f in
     let dl = ref infinity in
-    if c.c_rate > 0. then
-      dl := Float.min !dl (now +. (c.c_remaining /. c.c_rate));
-    dl := Float.min !dl c.c_next_double;
-    (match switch_bytes_trigger c with
-    | Some v when c.c_rate > 0. && c.c_done < v ->
-      dl := Float.min !dl (now +. ((v -. c.c_done) /. c.c_rate))
-    | Some _ | None -> ());
-    (match switch_time_trigger c with
-    | Some at -> dl := Float.min !dl at
-    | None -> ());
+    if f.rate > 0. then dl := Float.min !dl (now +. (f.remaining /. f.rate));
+    dl := Float.min !dl f.next_double;
+    if f.sw_bytes < infinity && f.rate > 0. && f.sent < f.sw_bytes then
+      dl := Float.min !dl (now +. ((f.sw_bytes -. f.sent) /. f.rate));
+    if f.sw_at < infinity then dl := Float.min !dl f.sw_at;
     if !dl < infinity then arm_at c !dl
     else Scheduler.Timer.cancel (the_timer c)
   | Handshake | Draining | Finished -> ()
 
-let refresh_rate c ~now =
+let[@inline] refresh_rate c ~now =
   integrate c ~now;
-  c.c_alloc_bps <- aggregate_bps c;
-  c.c_rate <- effective_rate c
+  c.c_f.alloc_bps <- aggregate_bps c;
+  c.c_f.rate <- effective_rate c.c_f
 
 let add_legs c specs =
   let t = c.c_t in
@@ -183,22 +184,24 @@ let add_legs c specs =
       specs
 
 let remove_legs c ~now =
-  let t = c.c_t in
-  Array.iter (fun f -> Alloc.remove t.alloc ~now f) c.c_legs;
+  let legs = c.c_legs in
+  for i = 0 to Array.length legs - 1 do
+    Alloc.remove c.c_t.alloc ~now legs.(i)
+  done;
   c.c_legs <- [||]
 
 let emit_switch c =
   let t = c.c_t in
-  Sim_obs.Metrics.emit
-    (Sim_engine.Sim_ctx.metrics (Scheduler.ctx t.sched))
-    ~kind:"phase_switch" ~conn:c.c_id
-    ~info:
-      [
-        ("to", "multipath");
-        ("model", "fluid");
-        ("subflows", string_of_int (Array.length c.c_legs));
-      ]
-    ()
+  (* The info list would allocate before [emit]'s own guard ran. *)
+  if Sim_obs.Metrics.active t.metrics then
+    Sim_obs.Metrics.emit t.metrics ~kind:"phase_switch" ~conn:c.c_id
+      ~info:
+        [
+          ("to", "multipath");
+          ("model", "fluid");
+          ("subflows", string_of_int (Array.length c.c_legs));
+        ]
+      ()
 
 let do_switch c ~now =
   match c.c_switch with
@@ -206,6 +209,8 @@ let do_switch c ~now =
   | Some { sw_legs; _ } ->
     c.c_switched <- true;
     c.c_switch <- None;
+    c.c_f.sw_bytes <- infinity;
+    c.c_f.sw_at <- infinity;
     c.c_t.switched <- c.c_t.switched + 1;
     Sim_obs.Flow_ledger.on_phase_switch c.c_t.ledger ~conn:c.c_id;
     remove_legs c ~now;
@@ -229,7 +234,7 @@ let complete c =
 let enter_drain c ~now =
   remove_legs c ~now;
   c.c_state <- Draining;
-  c.c_rate <- 0.;
+  c.c_f.rate <- 0.;
   (* The freed capacity reaches the survivors at the next quantum. *)
   request_flush c.c_t;
   (* Tail: the last byte is in flight for half an RTT. *)
@@ -237,40 +242,40 @@ let enter_drain c ~now =
 
 let step c ~now =
   integrate c ~now;
-  if c.c_remaining <= byte_tol then enter_drain c ~now
+  let f = c.c_f in
+  if f.remaining <= byte_tol then enter_drain c ~now
   else begin
-    (match (switch_bytes_trigger c, switch_time_trigger c) with
-    | Some v, _ when c.c_done +. 0.5 >= v -> do_switch c ~now
-    | _, Some at when now +. 1e-12 >= at -> do_switch c ~now
-    | _ -> ());
+    if f.sent +. 0.5 >= f.sw_bytes || now +. 1e-12 >= f.sw_at then
+      do_switch c ~now;
     if c.c_state = Running then begin
-      while now +. 1e-12 >= c.c_next_double do
-        c.c_ss_cap <- c.c_ss_cap *. 2.;
-        if c.c_ss_cap >= c.c_alloc_bps /. 8. then begin
-          c.c_ss_cap <- infinity;
-          c.c_next_double <- infinity
+      while now +. 1e-12 >= f.next_double do
+        f.ss_cap <- f.ss_cap *. 2.;
+        if f.ss_cap >= f.alloc_bps /. 8. then begin
+          f.ss_cap <- infinity;
+          f.next_double <- infinity
         end
-        else c.c_next_double <- c.c_next_double +. c.c_rtt
+        else f.next_double <- f.next_double +. c.c_rtt
       done;
-      c.c_rate <- effective_rate c;
+      f.rate <- effective_rate f;
       re_arm c ~now
     end
   end
 
 let go_running c =
   let t = c.c_t in
+  let f = c.c_f in
   let now = now_s t in
   c.c_state <- Running;
-  c.c_last_t <- now;
+  f.last_t <- now;
   Sim_obs.Flow_ledger.on_handshake t.ledger ~conn:c.c_id;
   add_legs c c.c_leg_specs;
   (if c.c_slow_start then begin
-     c.c_ss_cap <- float_of_int (t.iw * t.mss) /. c.c_rtt;
-     c.c_next_double <- now +. c.c_rtt
+     f.ss_cap <- float_of_int (t.iw * t.mss) /. c.c_rtt;
+     f.next_double <- now +. c.c_rtt
    end
    else begin
-     c.c_ss_cap <- infinity;
-     c.c_next_double <- infinity
+     f.ss_cap <- infinity;
+     f.next_double <- infinity
    end);
   Alloc.settle t.alloc ~now c.c_legs;
   (* The info list would allocate before [emit]'s own guard ran. *)
@@ -292,16 +297,44 @@ let on_timer c =
   | Draining -> complete c
   | Finished -> ()
 
-(* Allocator rate-change callback: re-integrate at the old rate, then
-   adopt the new aggregate and move the deadlines. *)
-let on_leg_rate flow =
-  let c = Alloc.data flow in
-  match c.c_state with
-  | Running ->
-    let now = now_s c.c_t in
-    refresh_rate c ~now;
-    re_arm c ~now
-  | Handshake | Draining | Finished -> ()
+(* Allocator batch callback, once per wave: each connection with a
+   changed leg re-integrates at its old rate, then adopts the new
+   aggregate and moves its deadline, once, at the position of its
+   *last* changed leg. A refresh at each changed leg would re-arm the
+   timer to the same deadline each time, and only the last arm's seq
+   orders the timer among equal deadlines; refreshing there keeps
+   every timer's (time, seq) order, and with it every result, the
+   same (DESIGN.md §4k). The first pass counts each connection's
+   changed legs; the second refreshes a connection when its count
+   drops to zero. *)
+let on_leg_rates legs n =
+  for i = 0 to n - 1 do
+    let c = Alloc.data legs.(i) in
+    c.c_batch <- c.c_batch + 1
+  done;
+  for i = 0 to n - 1 do
+    let c = Alloc.data legs.(i) in
+    c.c_batch <- c.c_batch - 1;
+    if c.c_batch = 0 then
+      match c.c_state with
+      | Running ->
+        let now = now_s c.c_t in
+        refresh_rate c ~now;
+        re_arm c ~now
+      | Handshake | Draining | Finished -> ()
+  done
+
+(* The triggers of a connection's pending switch, as [fstate] keeps
+   them. *)
+let switch_bytes = function
+  | Some { sw_plan = { Mmptcp.Strategy.switch_after_bytes = Some v; _ }; _ } ->
+    float_of_int v
+  | Some _ | None -> infinity
+
+let switch_at ~started = function
+  | Some { sw_plan = { Mmptcp.Strategy.switch_after_time = Some d; _ }; _ } ->
+    Time.to_sec started +. Time.to_sec d
+  | Some _ | None -> infinity
 
 let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default)
     ?(flush_interval = 2e-3) () =
@@ -311,7 +344,7 @@ let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default)
       (* One relaxation wave per quantum: under churn the ripple
          re-dirties the population anyway, so extra waves per flush
          redo the same work; convergence continues next quantum. *)
-      alloc = Alloc.create ~max_waves:1 ~caps:cap_bps ~on_rate:on_leg_rate ();
+      alloc = Alloc.create ~max_waves:1 ~caps:cap_bps ~on_rate:on_leg_rates ();
       metrics = Sim_engine.Sim_ctx.metrics (Scheduler.ctx sched);
       ledger = Sim_engine.Sim_ctx.ledger (Scheduler.ctx sched);
       mss = params.Sim_tcp.Tcp_params.mss;
@@ -354,9 +387,11 @@ let make ~sched ~cap_bps ?(params = Sim_tcp.Tcp_params.default)
 let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
     ~legs ~size ~on_complete () =
   if Array.length legs = 0 then invalid_arg "Engine.start: no legs";
-  let rtt =
-    Array.fold_left (fun acc s -> Float.min acc s.rtt_s) infinity legs
-  in
+  let rtt = ref infinity in
+  for i = 0 to Array.length legs - 1 do
+    rtt := Float.min !rtt legs.(i).rtt_s
+  done;
+  let rtt = !rtt in
   if not (rtt > 0. && rtt < 1e3) then
     invalid_arg "Engine.start: leg rtt out of range";
   let conn_id = Sim_tcp.Conn_id.fresh (Scheduler.ctx t.sched) in
@@ -369,18 +404,24 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
       c_slow_start = slow_start;
       c_on_complete = on_complete;
       c_started = Scheduler.now t.sched;
+      c_f =
+        {
+          remaining = float_of_int size;
+          sent = float_of_int done_bytes;
+          rate = 0.;
+          alloc_bps = 0.;
+          last_t = now_s t;
+          ss_cap = infinity;
+          next_double = infinity;
+          sw_bytes = switch_bytes switch;
+          sw_at = switch_at switch ~started:(Scheduler.now t.sched);
+        };
       c_state = Handshake;
       c_leg_specs = legs;
       c_legs = [||];
-      c_remaining = float_of_int size;
-      c_done = float_of_int done_bytes;
-      c_rate = 0.;
-      c_alloc_bps = 0.;
-      c_last_t = now_s t;
-      c_ss_cap = infinity;
-      c_next_double = infinity;
       c_switch = switch;
       c_switched = false;
+      c_batch = 0;
       c_timer = None;
       c_completed = None;
     }
@@ -395,8 +436,8 @@ let start t ?(done_bytes = 0) ?(slow_start = true) ?(handshake = true) ?switch
          ~id:(Printf.sprintf "c%d" conn_id)
          ~name ~units read
      in
-     reg "rate_mbps" "Mb/s" (fun () -> c.c_rate *. 8. /. 1e6);
-     reg "remaining_bytes" "bytes" (fun () -> c.c_remaining);
+     reg "rate_mbps" "Mb/s" (fun () -> c.c_f.rate *. 8. /. 1e6);
+     reg "remaining_bytes" "bytes" (fun () -> c.c_f.remaining);
      reg "legs" "legs" (fun () -> float_of_int (Array.length c.c_legs))
    end);
   (* Legs join the allocator only at [go_running]; registering them
@@ -428,7 +469,7 @@ let conn_bytes c =
   match c.c_state with
   | Finished -> c.c_size
   | Handshake | Running | Draining ->
-    int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_remaining))
+    int_of_float (Float.max 0. (float_of_int c.c_size -. c.c_f.remaining))
 
 let active t = t.active
 let started t = t.started

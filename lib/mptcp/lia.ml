@@ -70,10 +70,22 @@ let fluid_weights ~rtts =
   let n = Array.length rtts in
   if n = 0 then [||]
   else begin
-    let inv = Array.map (fun r -> 1. /. Float.max 1e-6 r) rtts in
-    let sum = Array.fold_left ( +. ) 0. inv in
+    (* Loops rather than maps and a fold, so no float is boxed. The
+       sum runs from 0. in subflow order. *)
+    let inv = Array.make n 0. in
+    let sum = ref 0. in
+    for i = 0 to n - 1 do
+      inv.(i) <- 1. /. Float.max 1e-6 rtts.(i);
+      sum := !sum +. inv.(i)
+    done;
+    let sum = !sum in
     if sum <= 0. then Array.make n (1. /. float_of_int n)
-    else Array.map (fun x -> x /. sum) inv
+    else begin
+      for i = 0 to n - 1 do
+        inv.(i) <- inv.(i) /. sum
+      done;
+      inv
+    end
   end
 
 let alpha g =

@@ -22,19 +22,23 @@ let hosts_per_edge p = p.k / 2 * p.oversub
 let hosts_per_pod p = p.k / 2 * hosts_per_edge p
 let host_count p = p.k * hosts_per_pod p
 
+(* A host's pod, its edge switch within the pod, and its port on that
+   edge: [position]'s components one at a time, so that the route
+   oracle, which runs per fluid leg, allocates no tuple. *)
+let pod_of p h = h / hosts_per_pod p
+let edge_of p h = h mod hosts_per_pod p / hosts_per_edge p
+let port_of p h = h mod hosts_per_pod p mod hosts_per_edge p
+
 let position p addr =
   let h = Addr.to_int addr in
-  let hpe = hosts_per_edge p and hpp = hosts_per_pod p in
-  let pod = h / hpp in
-  let rem = h mod hpp in
-  (pod, rem / hpe, rem mod hpe)
+  (pod_of p h, edge_of p h, port_of p h)
 
 let paths_between p a b =
-  let pa, ea, _ = position p a and pb, eb, _ = position p b in
+  let a = Addr.to_int a and b = Addr.to_int b in
   let half = p.k / 2 in
-  if Addr.equal a b then 0
-  else if pa = pb && ea = eb then 1
-  else if pa = pb then half
+  if a = b then 0
+  else if pod_of p a = pod_of p b && edge_of p a = edge_of p b then 1
+  else if pod_of p a = pod_of p b then half
   else half * half
 
 let create ~sched p =
@@ -156,8 +160,8 @@ let create ~sched p =
   let ro_path ~src ~dst ~choice =
     if src = dst then [||]
     else begin
-      let spd, se, _ = position p (Addr.of_int src) in
-      let dpd, de, di = position p (Addr.of_int dst) in
+      let spd = pod_of p src and se = edge_of p src in
+      let dpd = pod_of p dst and de = edge_of p dst and di = port_of p dst in
       let down = Link.id edge_down.(dpd).(de).(di) in
       if spd = dpd && se = de then [| up src; down |]
       else if spd = dpd then begin

@@ -197,6 +197,10 @@ let current_rto t =
   let backed = Time.of_ns (Time.to_ns base lsl Int.min t.backoff 16) in
   Time.min backed t.params.Tcp_params.max_rto
 
+(* Built only for a probed connection: a sprintf is about 50 words,
+   which every subflow set-up would otherwise pay. *)
+let probe_id conn subflow = Printf.sprintf "c%d.s%d" conn subflow
+
 let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
     ?dupack_threshold ?(on_established = noop) ?(on_dsn_acked = noop_dsn)
     ?(on_all_acked = noop) ?(on_dsack = noop) ?(on_first_congestion = noop) () =
@@ -209,14 +213,14 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
     let m = Sim_engine.Sim_ctx.metrics (Scheduler.ctx (Host.sched host)) in
     if Sim_obs.Metrics.want_conn m conn then Some m else None
   in
-  let mid = Printf.sprintf "c%d.s%d" conn subflow in
   let hist_rtt =
     match metrics with
     | Some m ->
       (* Data-centre RTTs: 100 µs per bucket up to 5 ms, overflow
          beyond (queue-buildup and RTO-scale outliers). *)
-      Sim_obs.Metrics.histogram m ~component:"tcp_tx" ~id:mid ~name:"rtt"
-        ~units:"us" ~lo:0. ~hi:5000. ~buckets:50
+      Sim_obs.Metrics.histogram m ~component:"tcp_tx"
+        ~id:(probe_id conn subflow) ~name:"rtt" ~units:"us" ~lo:0. ~hi:5000.
+        ~buckets:50
     | None -> None
   in
   let t =
@@ -277,6 +281,7 @@ let create ~host ~peer ~conn ~subflow ~params ~src_port ~dst_port ~source ~cc
   t.cc <- cc (window t);
   (match t.m with
    | Some m ->
+     let mid = probe_id conn subflow in
      let reg name units read =
        Sim_obs.Metrics.register m ~component:"tcp_tx" ~id:mid ~name ~units read
      in

@@ -55,21 +55,27 @@ let host_count net = Topology.host_count net.topo
 let name net = net.topo.Topology.name
 
 (* One-way traversal time of [path] for a [bytes]-long frame:
-   store-and-forward serialisation plus propagation at every hop. *)
-let path_time net ~bytes path =
-  Array.fold_left
-    (fun acc li ->
-      let l = net.topo.Topology.links.(li) in
-      acc
+   store-and-forward serialisation plus propagation at every hop,
+   summed in path order from 0. A loop rather than a fold, so the sum
+   stays unboxed. *)
+let[@inline] path_time net ~bytes path =
+  let links = net.topo.Topology.links in
+  let sum = ref 0. in
+  for i = 0 to Array.length path - 1 do
+    let l = links.(path.(i)) in
+    sum :=
+      !sum
       +. Time.to_sec (Link.delay l)
-      +. (float_of_int (bytes * 8) /. Link.rate_bps l))
-    0. path
+      +. (float_of_int (bytes * 8) /. Link.rate_bps l)
+  done;
+  !sum
 
 let ack_bytes = 40
 
-let rtt_s (cfg : Flow_model.config) net ~src ~dst ~choice =
+(* Round-trip time of the leg that sends on [fwd], path [choice] from
+   [src] to [dst], and is acknowledged on the matching reverse path. *)
+let[@inline] rtt_s (cfg : Flow_model.config) net ~src ~dst ~choice fwd =
   let rev_paths = max 1 (net.oracle.Topology.ro_paths ~src:dst ~dst:src) in
-  let fwd = net.oracle.Topology.ro_path ~src ~dst ~choice in
   let rev =
     net.oracle.Topology.ro_path ~src:dst ~dst:src ~choice:(choice mod rev_paths)
   in
@@ -77,11 +83,8 @@ let rtt_s (cfg : Flow_model.config) net ~src ~dst ~choice =
   path_time net ~bytes:data fwd +. path_time net ~bytes:ack_bytes rev
 
 let leg cfg net ~src ~dst ~choice ~weight =
-  {
-    Engine.path = net.oracle.Topology.ro_path ~src ~dst ~choice;
-    weight;
-    rtt_s = rtt_s cfg net ~src ~dst ~choice;
-  }
+  let path = net.oracle.Topology.ro_path ~src ~dst ~choice in
+  { Engine.path; weight; rtt_s = rtt_s cfg net ~src ~dst ~choice path }
 
 let scatter_cap = 8
 
@@ -93,20 +96,20 @@ let transport_plan (cfg : Flow_model.config) net ~rng ~src ~dst ~assume_switched
     =
   let paths = max 1 (net.oracle.Topology.ro_paths ~src ~dst) in
   let mptcp_legs ~subflows ~coupled =
-    let choices = Array.init subflows (fun _ -> Rng.int rng paths) in
-    let rtts =
-      Array.map (fun choice -> rtt_s cfg net ~src ~dst ~choice) choices
-    in
+    (* Each leg's forward path is fetched once, for its RTT and its
+       spec; the path choices are drawn from [rng] in leg order. *)
+    let fwd = Array.make subflows [||] and rtts = Array.make subflows 0. in
+    for i = 0 to subflows - 1 do
+      let choice = Rng.int rng paths in
+      fwd.(i) <- net.oracle.Topology.ro_path ~src ~dst ~choice;
+      rtts.(i) <- rtt_s cfg net ~src ~dst ~choice fwd.(i)
+    done;
     let weights =
       if coupled then Sim_mptcp.Lia.fluid_weights ~rtts
       else Array.make subflows 1.
     in
     Array.init subflows (fun i ->
-        {
-          Engine.path = net.oracle.Topology.ro_path ~src ~dst ~choice:choices.(i);
-          weight = weights.(i);
-          rtt_s = rtts.(i);
-        })
+        { Engine.path = fwd.(i); weight = weights.(i); rtt_s = rtts.(i) })
   in
   match cfg.Flow_model.protocol with
   | Flow_model.Tcp_proto | Flow_model.Dctcp_proto ->

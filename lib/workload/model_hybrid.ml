@@ -84,7 +84,10 @@ and sample net =
       Engine.set_link_avail engine ~link:i avail;
       net.avail_set.(i) <- avail
     end;
-    Link.set_reserved_bps l (Engine.link_alloc_bps engine ~link:i)
+    (* Passing a float to the link boxes it, so a reservation that
+       has not changed is not written again. *)
+    let alloc = Engine.link_alloc_bps engine ~link:i in
+    if alloc <> Link.reserved_bps l then Link.set_reserved_bps l alloc
   done;
   Engine.flush engine;
   if Engine.active engine > 0 then

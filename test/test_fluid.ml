@@ -51,7 +51,7 @@ let print_case c =
 let arb_case = QCheck.make ~print:print_case gen_case
 
 let build case =
-  let t = Alloc.create ~caps:case.caps ~on_rate:(fun _ -> ()) () in
+  let t = Alloc.create ~caps:case.caps ~on_rate:(fun _ _ -> ()) () in
   let flows =
     List.map
       (fun (w, path, rm) ->
@@ -116,6 +116,231 @@ let prop_maxmin_bottleneck =
               && Alloc.rate f /. Alloc.weight f >= norm_max *. (1. -. tol))
             path)
         flows)
+
+(* Batch callback contract: every [flush] and [settle] passes
+   [on_rate] exactly the flows whose committed rate moved, each once,
+   in queue order. Rates move only by a commit, and a commit needs a
+   change beyond [eps], so "moved" is read off the rates before and
+   after. Queue order is checked against a model of the dirty queue:
+   per-link member lists with the allocator's swap-remove, marks in
+   mutation order, and the ripple that re-marks the members of a link
+   whose total moved beyond [eps * cap], recomputed from the observed
+   rates with the allocator's own arithmetic. *)
+
+type op =
+  | Add of float * int list
+  | Remove of int
+  | Weight of int * float
+  | Avail of int * float
+  | Flush
+  | Settle of int list
+
+let gen_hist =
+  let open QCheck.Gen in
+  gen_case >>= fun case ->
+  let nlinks = Array.length case.caps in
+  let gen_path =
+    int_range 1 nlinks >>= fun len ->
+    shuffle_l (List.init nlinks Fun.id) >>= fun perm ->
+    return (List.filteri (fun i _ -> i < len) perm)
+  in
+  let gen_op =
+    frequency
+      [
+        (2, map2 (fun w p -> Add (w, p)) (float_range 0.5 4.) gen_path);
+        (2, map (fun i -> Remove i) nat);
+        (1, map2 (fun i w -> Weight (i, w)) nat (float_range 0.5 4.));
+        ( 2,
+          map2
+            (fun li f -> Avail (li mod nlinks, f *. case.caps.(li mod nlinks)))
+            nat (float_range 0. 1.2) );
+        (3, return Flush);
+        (2, map (fun is -> Settle is) (list_size (int_range 1 4) nat));
+      ]
+  in
+  list_size (int_range 1 30) gen_op >>= fun ops -> return (case, ops)
+
+let print_op = function
+  | Add (w, p) ->
+    Printf.sprintf "add w=%.2f path=%s" w
+      (String.concat "," (List.map string_of_int p))
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Weight (i, w) -> Printf.sprintf "weight %d %.2f" i w
+  | Avail (li, v) -> Printf.sprintf "avail %d %.0f" li v
+  | Flush -> "flush"
+  | Settle is ->
+    Printf.sprintf "settle %s" (String.concat "," (List.map string_of_int is))
+
+let arb_hist =
+  QCheck.make
+    ~print:(fun (case, ops) ->
+      print_case case ^ " ops=[" ^ String.concat "; " (List.map print_op ops)
+      ^ "]")
+    gen_hist
+
+let eps = 1e-3
+
+let prop_batch_callback =
+  QCheck.Test.make ~name:"batch callback: changed flows once, in queue order"
+    ~count:300 arb_hist (fun (case, ops) ->
+      let nlinks = Array.length case.caps in
+      let batches = ref [] in
+      let t =
+        Alloc.create ~eps ~caps:case.caps
+          ~on_rate:(fun flows n ->
+            batches := List.init n (fun i -> Alloc.data flows.(i)) :: !batches)
+          ()
+      in
+      (* The model: flows by creation index. *)
+      let flows = ref [||] and paths = ref [||] in
+      let dead = Hashtbl.create 16 and dirty = Hashtbl.create 16 in
+      let fstamp = Hashtbl.create 16 and stamp = ref 0 in
+      let members = Array.make nlinks [] (* in member order *) in
+      let queue = ref [] (* reversed *) in
+      let is_dead f = Hashtbl.mem dead f in
+      let mark f =
+        if (not (Hashtbl.mem dirty f)) && not (is_dead f) then begin
+          Hashtbl.replace dirty f ();
+          queue := f :: !queue
+        end
+      in
+      let mark_members li = List.iter mark members.(li) in
+      let swap_remove li f =
+        let arr = Array.of_list members.(li) in
+        let last = Array.length arr - 1 in
+        let slot = ref 0 in
+        Array.iteri (fun i g -> if g = f then slot := i) arr;
+        arr.(!slot) <- arr.(last);
+        members.(li) <- Array.to_list (Array.sub arr 0 last)
+      in
+      let add w path =
+        let id = Array.length !flows in
+        let fl = Alloc.add t ~weight:w ~path:(Array.of_list path) ~data:id in
+        flows := Array.append !flows [| fl |];
+        paths := Array.append !paths [| path |];
+        List.iter
+          (fun li ->
+            members.(li) <- members.(li) @ [ id ];
+            mark_members li)
+          path;
+        mark id
+      in
+      let alive () =
+        List.filter
+          (fun f -> not (is_dead f))
+          (List.init (Array.length !flows) Fun.id)
+      in
+      let rates () = Array.map Alloc.rate !flows in
+      let changed before f = before.(f) <> Alloc.rate !flows.(f) in
+      let moved_beyond_eps before f =
+        let old = before.(f) and nr = Alloc.rate !flows.(f) in
+        Float.abs (nr -. old) > eps *. Float.max 1. (Float.max nr old)
+      in
+      (* Expected batches of one flush, replaying waves and ripple. *)
+      let model_flush before =
+        incr stamp;
+        let expected = ref [] and waves = ref 0 in
+        while !queue <> [] && !waves < 3 do
+          incr waves;
+          let drained = List.rev !queue in
+          queue := [];
+          List.iter (fun f -> Hashtbl.remove dirty f) drained;
+          let wave = List.filter (fun f -> not (is_dead f)) drained in
+          List.iter (fun f -> Hashtbl.replace fstamp f !stamp) wave;
+          let ch = List.filter (changed before) wave in
+          if ch <> [] then expected := ch :: !expected;
+          let dalloc = Array.make nlinks 0. and touched = ref [] in
+          List.iter
+            (fun f ->
+              List.iter
+                (fun li ->
+                  dalloc.(li) <-
+                    dalloc.(li) -. before.(f) +. Alloc.rate !flows.(f))
+                !paths.(f))
+            ch;
+          List.iter
+            (fun f ->
+              List.iter
+                (fun li ->
+                  if not (List.mem li !touched) then touched := li :: !touched)
+                !paths.(f))
+            ch;
+          List.iter
+            (fun li ->
+              if Float.abs dalloc.(li) > eps *. case.caps.(li) then
+                List.iter
+                  (fun m ->
+                    if Hashtbl.find_opt fstamp m <> Some !stamp then mark m)
+                  members.(li))
+            (List.rev !touched)
+        done;
+        List.rev !expected
+      in
+      let fail = ref None in
+      let check what before expected =
+        let got = List.rev !batches in
+        batches := [];
+        let all = List.concat got in
+        let once = List.length (List.sort_uniq compare all) = List.length all in
+        if got <> expected || not once then fail := Some what
+        else if not (List.for_all (moved_beyond_eps before) all) then
+          fail := Some (what ^ ": a reported flow moved within eps")
+      in
+      List.iter (fun (w, path, _) -> add w path) case.specs;
+      let step op =
+        let n = Array.length !flows in
+        match op with
+        | Add (w, path) -> add w path
+        | Remove i when n > 0 ->
+          let f = i mod n in
+          if not (is_dead f) then begin
+            Alloc.remove t ~now:0. !flows.(f);
+            Hashtbl.replace dead f ();
+            List.iter
+              (fun li ->
+                swap_remove li f;
+                mark_members li)
+              !paths.(f)
+          end
+        | Weight (i, w) when n > 0 ->
+          let f = i mod n in
+          let changes = (not (is_dead f)) && Alloc.weight !flows.(f) <> w in
+          Alloc.set_weight t !flows.(f) w;
+          if changes then begin
+            List.iter mark_members !paths.(f);
+            mark f
+          end
+        | Avail (li, bps) ->
+          let v = Float.max 0. (Float.min bps case.caps.(li)) in
+          let changes = Alloc.link_avail t ~link:li <> v in
+          Alloc.set_avail t ~link:li bps;
+          if changes then mark_members li
+        | Flush ->
+          let before = rates () in
+          Alloc.flush t ~now:0.;
+          check "flush" before (model_flush before)
+        | Settle is -> (
+          match alive () with
+          | [] -> ()
+          | live ->
+            let k = List.length live in
+            let pick =
+              List.sort_uniq compare
+                (List.map (fun i -> List.nth live (i mod k)) is)
+            in
+            let before = rates () in
+            Alloc.settle t ~now:0.
+              (Array.of_list (List.map (fun f -> !flows.(f)) pick));
+            incr stamp;
+            let ch = List.filter (changed before) pick in
+            check "settle" before (if ch = [] then [] else [ ch ]))
+        | Remove _ | Weight _ -> ()
+      in
+      List.iter (fun op -> if !fail = None then step op) (ops @ [ Flush ]);
+      match !fail with
+      | None -> true
+      | Some what ->
+        QCheck.Test.fail_reportf "%s batches differ from the model" what)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: analytic FCT is monotone in flow size when uncontended. *)
@@ -184,6 +409,59 @@ let test_completed_bytes_exact () =
         (Engine.conn_bytes c))
     !conns
 
+(* Per-flow allocation of the fluid engine: 8-leg transfers over the
+   64 links of bench/micro's fluid:10k-flows, 100 us apart, measured
+   after a warm-up drive on the same engine has grown the allocator's
+   and the scheduler's scratch. Leg specs are built before the
+   measurement. What a flow still allocates is its own: the conn and
+   its timer, and per leg the allocator record, its path copy and slot
+   array (DESIGN.md §4k). It measures 346 words per flow in the dev
+   profile (-opaque, where cross-module float results still box); with
+   a per-leg rate callback and boxed conn floats it measured 866. *)
+let fluid_words_per_flow = 400.
+
+let test_fluid_alloc_per_flow () =
+  let sched = Scheduler.create () in
+  let eng = Engine.make ~sched ~cap_bps:(Array.make 64 1e9) () in
+  let completed = ref 0 in
+  let legs_of i =
+    Array.init 8 (fun j ->
+        {
+          Engine.path = [| (i + j) mod 32; 32 + (((i * 7) + j) mod 32) |];
+          weight = 1. /. 8.;
+          rtt_s = 1e-4;
+        })
+  in
+  let drive ~first ~n =
+    let legs = Array.init n (fun k -> legs_of (first + k)) in
+    let arrivals =
+      Scheduler.Event.pool sched ~fire:(fun k ->
+          ignore
+            (Engine.start eng ~legs:legs.(k) ~size:70_000
+               ~on_complete:(fun _ -> incr completed)
+               ()))
+    in
+    let t0 = Time.to_us (Scheduler.now sched) in
+    for k = 0 to n - 1 do
+      ignore
+        (Scheduler.Event.schedule_at arrivals
+           (Time.of_us (t0 +. (float_of_int k *. 100.)))
+           k)
+    done
+  in
+  drive ~first:0 ~n:500;
+  Scheduler.run sched;
+  Alcotest.(check int) "warm-up complete" 500 !completed;
+  drive ~first:500 ~n:2_000;
+  let w0 = Gc.minor_words () in
+  Scheduler.run sched;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all complete" 2_500 !completed;
+  let per_flow = dw /. 2_000. in
+  if per_flow > fluid_words_per_flow then
+    Alcotest.failf "%.0f minor words over 2000 flows: %.0f words/flow" dw
+      per_flow
+
 (* ------------------------------------------------------------------ *)
 (* Golden cross-check: tiny dumbbell, fluid within 10% of packet on
    mean short-flow FCT (the ext-fluid-xval gate, pinned in-tree). *)
@@ -218,7 +496,11 @@ let () =
   Alcotest.run "fluid"
     [
       ( "alloc",
-        [ qt prop_conservation; qt prop_maxmin_bottleneck ] );
+        [
+          qt prop_conservation;
+          qt prop_maxmin_bottleneck;
+          qt prop_batch_callback;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "fct monotone in size" `Quick test_fct_monotone;
@@ -226,6 +508,8 @@ let () =
             test_fct_above_serialisation;
           Alcotest.test_case "completed conn reports its size" `Quick
             test_completed_bytes_exact;
+          Alcotest.test_case "8-leg flow allocation budget" `Quick
+            test_fluid_alloc_per_flow;
         ] );
       ( "golden",
         [
